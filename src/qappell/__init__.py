@@ -10,28 +10,27 @@ from .qarith import (PoleError, QPoly, QRat, q_binomial,
 from .qseries import (CancellationError, OrderMismatchError, Series,
                       ZeroDivisorError, eq_exponential)
 from .appell import (AppellFamily, VerificationReport, XPoly,
-                     alpha_coefficients, appell_polynomial, family_numbers,
-                     q_derivative_x, scale_x_by_q, verify_difference_a2,
-                     verify_lowering, verify_recurrence_a1)
+                     verify_difference_range, verify_lowering_range,
+                     verify_recurrence_range)
 from .families import (DiscrepancyReport, FamilyKind, classical_limit,
                        euler_number_series, euler_numbers, make_family,
                        verify_euler_number_relation, verify_printed_theorem)
 from .hermite import (hermite_series_form, printed_series_form,
-                      verify_hermite_difference, verify_hermite_generator_ratio,
-                      verify_hermite_recurrence)
+                      verify_hermite_difference_range,
+                      verify_hermite_generator_ratio,
+                      verify_hermite_recurrence_range)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AppellFamily", "CancellationError", "DiscrepancyReport", "FamilyKind",
     "OrderMismatchError", "PoleError", "QPoly", "QRat", "Series",
-    "VerificationReport", "XPoly", "ZeroDivisorError", "alpha_coefficients",
-    "appell_polynomial", "classical_limit", "eq_exponential",
-    "euler_number_series", "euler_numbers", "family_numbers",
+    "VerificationReport", "XPoly", "ZeroDivisorError", "classical_limit",
+    "eq_exponential", "euler_number_series", "euler_numbers",
     "hermite_series_form", "make_family", "printed_series_form",
-    "q_binomial", "q_derivative_x", "q_double_factorial_even", "q_factorial",
-    "q_integer", "qpoly_gcd", "scale_x_by_q", "verify_difference_a2",
-    "verify_euler_number_relation", "verify_hermite_difference",
-    "verify_hermite_generator_ratio", "verify_hermite_recurrence",
-    "verify_lowering", "verify_printed_theorem", "verify_recurrence_a1",
+    "q_binomial", "q_double_factorial_even", "q_factorial", "q_integer",
+    "qpoly_gcd", "verify_difference_range", "verify_euler_number_relation",
+    "verify_hermite_difference_range", "verify_hermite_generator_ratio",
+    "verify_hermite_recurrence_range", "verify_lowering_range",
+    "verify_printed_theorem", "verify_recurrence_range",
 ]

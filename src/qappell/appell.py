@@ -125,6 +125,13 @@ class XPoly:
             out.append(a if a.is_zero() else a * QRat.from_poly(q_integer(n)))
         return XPoly(out)
 
+    def q_derivatives(self, upto: int) -> list[XPoly]:
+        """[p, D p, ..., D^upto p], each taken from the one before."""
+        out = [self]
+        for _ in range(upto):
+            out.append(out[-1].q_derivative())
+        return out
+
     def evaluate_x(self, x0) -> QRat:
         """Exact value at a rational x0, with q still symbolic (Horner)."""
         x0 = _as_qrat(x0)
@@ -146,42 +153,40 @@ class XPoly:
         return acc
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            sign, body = _split_sign(c)
-            var = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            if var and body == "1":
-                term = var
-            elif var:
-                term = f"({body})*{var}" if _is_composite(c) else f"{body}*{var}"
-            else:
-                term = body
-            if not parts:
-                parts.append(f"-{term}" if sign < 0 else term)
-            else:
-                parts.append(f" - {term}" if sign < 0 else f" + {term}")
-        return "".join(parts)
+        def term(k: int, mag: QRat, composite: bool) -> str:
+            if k == 0:
+                return str(mag)
+            var = "x" if k == 1 else f"x^{k}"
+            if mag.is_one():
+                return var
+            return f"({mag})*{var}" if composite else f"{mag}*{var}"
+        return signed_terms(self, term)
 
     def __repr__(self) -> str:
         return f"XPoly({self})"
 
 
-def _split_sign(c: QRat) -> tuple[int, str]:
-    """Factor an overall -1 out of a coefficient whose numerator terms are
-    all nonpositive, for readable term rendering."""
-    nonzero = [x for x in c.num.coeffs if x]
-    if nonzero and all(x < 0 for x in nonzero):
-        return -1, str(-c)
-    return 1, str(c)
-
-
-def _is_composite(c: QRat) -> bool:
-    return (not c.den.is_one()) or sum(1 for x in c.num.coeffs if x) > 1
+def signed_terms(p: XPoly, term) -> str:
+    """Lay out p in descending x-powers.  A coefficient whose nonzero
+    numerator terms are all negative has -1 factored out; the sign goes
+    into the join and ``term(k, magnitude, composite)`` renders the rest,
+    where composite means the magnitude needs brackets before a power
+    of x."""
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        nonzero = [a for a in c.num.coeffs if a]
+        if not nonzero:
+            continue
+        negative = all(a < 0 for a in nonzero)
+        mag = -c if negative else c
+        composite = not mag.den.is_one() or len(nonzero) > 1
+        if parts:
+            parts.append(" - " if negative else " + ")
+        elif negative:
+            parts.append("-")
+        parts.append(term(k, mag, composite))
+    return "".join(parts) or "0"
 
 
 class AppellFamily:
@@ -262,24 +267,9 @@ class AppellFamily:
         return self._alphas[: upto + 1]
 
 
-def family_numbers(fam: AppellFamily, upto: int) -> list[QRat]:
-    return list(fam.numbers(upto))
-
-
-def appell_polynomial(fam: AppellFamily, n: int) -> XPoly:
-    return fam.polynomial(n)
-
-
-def alpha_coefficients(fam: AppellFamily, upto: int) -> list[QRat]:
-    return list(fam.alphas(upto))
-
-
-def q_derivative_x(p: XPoly) -> XPoly:
-    return p.q_derivative()
-
-
-def scale_x_by_q(p: XPoly) -> XPoly:
-    return p.scale_x(QRAT_Q)
+class DegreeRangeError(ValueError):
+    """A check was asked for degrees outside its theorem's domain, or for
+    a range with no degree in it."""
 
 
 @dataclass(frozen=True)
@@ -295,13 +285,16 @@ class VerificationReport:
 
 
 def make_report(theorem_id: str, family: str, n_range: tuple[int, int],
-                residuals) -> VerificationReport:
-    residuals = tuple(residuals)
-    first = None
-    for n, r in zip(range(n_range[0], n_range[1] + 1), residuals):
-        if not r.is_zero():
-            first = n
-            break
+                residual) -> VerificationReport:
+    """Evaluate ``residual(n)`` for every degree n in the inclusive
+    n_range.  A range with no degree in it raises: a check that examined
+    nothing must not pass."""
+    lo, hi = n_range
+    if lo > hi:
+        raise DegreeRangeError(f"{theorem_id}: empty degree range {lo}..{hi}")
+    residuals = tuple(residual(n) for n in range(lo, hi + 1))
+    first = next((n for n, r in zip(range(lo, hi + 1), residuals)
+                  if not r.is_zero()), None)
     return VerificationReport(theorem_id, family, n_range, residuals,
                               first is None, first)
 
@@ -332,9 +325,7 @@ def difference_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
     """sum_k (q^(n-k) alpha_k/[k]_q!) D^k A_n + x q^n D A_n - [n]_q A_n(qx)."""
     if alphas is None:
         alphas = fam.alphas(n)
-    derivs = [fam.polynomial(n)]
-    for _ in range(n):
-        derivs.append(derivs[-1].q_derivative())
+    derivs = fam.polynomial(n).q_derivatives(n)
     total = XPoly.zero()
     for k in range(n + 1):
         a = alphas[k]
@@ -348,64 +339,46 @@ def difference_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
     return total
 
 
+def _lowering_term(fam: AppellFamily, n: int, k: int, dk: XPoly) -> XPoly:
+    """A_{n-k} - ([n-k]_q!/[n]_q!) dk, where dk = D^k A_n."""
+    return fam.polynomial(n - k) - dk.scale(QRat(q_factorial(n - k), q_factorial(n)))
+
+
 def lowering_residual(fam: AppellFamily, n: int, k: int) -> XPoly:
     """A_{n-k}(x) - ([n-k]_q!/[n]_q!) D^k A_n(x)."""
-    d = fam.polynomial(n)
-    for _ in range(k):
-        d = d.q_derivative()
-    scale = QRat(q_factorial(n - k), q_factorial(n))
-    return fam.polynomial(n - k) - d.scale(scale)
-
-
-def verify_recurrence_a1(fam: AppellFamily, n: int) -> VerificationReport:
-    if not 1 <= n <= fam.order - 1:
-        raise ValueError(f"recurrence check needs 1 <= n <= {fam.order - 1}")
-    return make_report("a1", fam.name, (n, n), (recurrence_residual(fam, n),))
-
-
-def verify_difference_a2(fam: AppellFamily, n: int) -> VerificationReport:
-    if not 1 <= n <= fam.order - 1:
-        raise ValueError(f"difference check needs 1 <= n <= {fam.order - 1}")
-    return make_report("a2", fam.name, (n, n), (difference_residual(fam, n),))
-
-
-def verify_lowering(fam: AppellFamily, n: int, k: int) -> VerificationReport:
     if not 0 <= k <= n <= fam.order:
-        raise ValueError(f"lowering check needs 0 <= k <= n <= {fam.order}")
-    return make_report("lowering", fam.name, (n, n),
-                       (lowering_residual(fam, n, k),))
+        raise DegreeRangeError(f"lowering check needs 0 <= k <= n <= {fam.order}")
+    return _lowering_term(fam, n, k, fam.polynomial(n).q_derivatives(k)[k])
+
+
+def _degree_range(theorem_id: str, fam: AppellFamily, lo: int, hi: int,
+                  residual) -> VerificationReport:
+    if lo < 1 or hi > fam.order - 1:
+        raise DegreeRangeError(f"{theorem_id} check needs 1 <= n <= {fam.order - 1}, "
+                         f"got {lo}..{hi}")
+    return make_report(theorem_id, fam.name, (lo, hi), lambda n: residual(fam, n))
 
 
 def verify_recurrence_range(fam: AppellFamily, lo: int, hi: int) -> VerificationReport:
-    return make_report("a1", fam.name, (lo, hi),
-                       [recurrence_residual(fam, n) for n in range(lo, hi + 1)])
+    return _degree_range("a1", fam, lo, hi, recurrence_residual)
 
 
 def verify_difference_range(fam: AppellFamily, lo: int, hi: int) -> VerificationReport:
-    return make_report("a2", fam.name, (lo, hi),
-                       [difference_residual(fam, n) for n in range(lo, hi + 1)])
+    return _degree_range("a2", fam, lo, hi, difference_residual)
 
 
 def verify_lowering_range(fam: AppellFamily, max_n: int) -> VerificationReport:
     """All iterated lowerings 0 <= k <= n <= max_n, merged into one report.
 
-    The per-n residual recorded is the sum over k of the individual
-    residuals, so it is zero exactly when every chain length passes.
+    The residual recorded at degree n is its first nonzero one over k, so
+    it is zero exactly when every chain length passes.
     """
-    residuals = []
-    first = None
-    for n in range(max_n + 1):
-        d = fam.polynomial(n)
-        combined = XPoly.zero()
-        for k in range(n + 1):
-            scale = QRat(q_factorial(n - k), q_factorial(n))
-            r = fam.polynomial(n - k) - d.scale(scale)
-            if not r.is_zero():
-                if first is None:
-                    first = n
-                combined = combined + r
-            if k < n:
-                d = d.q_derivative()
-        residuals.append(combined)
-    return VerificationReport("lowering", fam.name, (0, max_n),
-                              tuple(residuals), first is None, first)
+    if not 0 <= max_n <= fam.order:
+        raise DegreeRangeError(f"lowering check needs 0 <= n <= {fam.order}")
+
+    def first_nonzero(n: int) -> XPoly:
+        chain = fam.polynomial(n).q_derivatives(n)
+        terms = (_lowering_term(fam, n, k, d) for k, d in enumerate(chain))
+        return next((r for r in terms if not r.is_zero()), XPoly.zero())
+
+    return make_report("lowering", fam.name, (0, max_n), first_nonzero)

@@ -14,12 +14,21 @@ import sys
 from fractions import Fraction
 
 from . import render, reports
-from .appell import alpha_coefficients, family_numbers
+from .appell import DegreeRangeError
 from .families import FamilyKind, make_family
 from .qarith import PoleError
 
 _FAMILY_SYMBOLS = {"bernoulli": "B", "euler": "E", "genocchi": "G", "hermite": "H"}
 _NUMBER_SYMBOLS = {"bernoulli": "b", "euler": "e", "genocchi": "g", "hermite": "h"}
+
+
+def _rational(text: str) -> Fraction:
+    # Fraction("1/0") raises ZeroDivisionError, which argparse would not
+    # turn into a usage error.
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -46,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", help="a family polynomial A_n(x)")
     p.add_argument("--family", choices=families, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--at-q", type=Fraction, default=None, metavar="P/Q",
+    p.add_argument("--at-q", type=_rational, default=None, metavar="P/Q",
                    help="evaluate coefficients at an exact rational q")
-    p.add_argument("--at-x", type=Fraction, default=None, metavar="P/Q",
+    p.add_argument("--at-x", type=_rational, default=None, metavar="P/Q",
                    help="evaluate at an exact rational x")
     _common_flags(p)
     p.set_defaults(func=cmd_poly)
@@ -77,7 +86,7 @@ def cmd_numbers(args) -> int:
     if args.max_n < 0:
         raise _usage_error("--max-n must be >= 0")
     fam = _family_for(args, args.max_n)
-    values = family_numbers(fam, args.max_n)
+    values = fam.numbers(args.max_n)
     if args.format == "json":
         payload = {"family": args.family, "max_n": args.max_n,
                    "numbers": [render.qrat_to_json(v) for v in values]}
@@ -169,7 +178,7 @@ def cmd_alpha(args) -> int:
     if args.max_n < 0:
         raise _usage_error("--max-n must be >= 0")
     fam = _family_for(args, args.max_n + 1)
-    values = alpha_coefficients(fam, args.max_n)
+    values = fam.alphas(args.max_n)
     if args.format == "json":
         payload = {"family": args.family, "max_n": args.max_n,
                    "alpha": [render.qrat_to_json(v) for v in values]}
@@ -188,7 +197,10 @@ def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise _usage_error("--max-n must be >= 1")
     order = max(args.order, args.max_n + 1, 2)
-    payload = reports.run_scope(args.scope, args.max_n, order)
+    try:
+        payload = reports.run_scope(args.scope, args.max_n, order)
+    except DegreeRangeError as exc:
+        raise _usage_error(str(exc)) from None
     sys.stdout.write(render.dumps(payload))
     return 0 if payload["passed"] else 1
 

@@ -101,18 +101,6 @@ class DiscrepancyReport:
     residual: XPoly | None
 
 
-_THEOREM_FAMILY = {
-    "b1": FamilyKind.BERNOULLI,
-    "b2": FamilyKind.BERNOULLI,
-    "e1": FamilyKind.EULER,
-    "e2": FamilyKind.EULER,
-    "g1": FamilyKind.GENOCCHI,
-    "g2": FamilyKind.GENOCCHI,
-}
-
-E1_READINGS = ("numbers", "values")
-
-
 def _qp(e: int) -> QRat:
     return QRat.q_power(e)
 
@@ -123,13 +111,6 @@ def _qb(n: int, k: int) -> QRat:
 
 def _qi(n: int) -> QRat:
     return QRat.from_poly(q_integer(n))
-
-
-def _derivative_chain(p: XPoly, upto: int) -> list[XPoly]:
-    out = [p]
-    for _ in range(upto):
-        out.append(out[-1].q_derivative())
-    return out
 
 
 def _b1_residual(fam: AppellFamily, n: int) -> XPoly:
@@ -147,7 +128,7 @@ def _b1_residual(fam: AppellFamily, n: int) -> XPoly:
 
 def _b2_residual(fam: AppellFamily, n: int) -> XPoly:
     b = fam.numbers(n)
-    derivs = _derivative_chain(fam.polynomial(n), n)
+    derivs = fam.polynomial(n).q_derivatives(n)
     total = XPoly.zero()
     for k in range(2, n + 1):
         c = _qp(n - k - 1) * b[k] / QRat.from_poly(q_factorial(k))
@@ -157,16 +138,7 @@ def _b2_residual(fam: AppellFamily, n: int) -> XPoly:
     return total + fam.polynomial(n).scale_x(QRAT_Q).scale(_qi(n))
 
 
-def _e1_residual(fam: AppellFamily, n: int, reading: str) -> XPoly:
-    # The printed coefficient symbol carries no q subscript or argument;
-    # "numbers" reads it as e_{j,q} from the Euler-number generator,
-    # "values" as the polynomial value E_{j,q}(0).
-    if reading == "numbers":
-        v = euler_numbers(n)
-    elif reading == "values":
-        v = fam.numbers(n)
-    else:
-        raise ValueError(f"unknown e1 reading {reading!r}")
+def _e1_residual(fam: AppellFamily, n: int, v) -> XPoly:
     poly = fam.polynomial
     lhs = poly(n).scale_x(QRAT_Q)
     acc = XPoly.zero()
@@ -181,7 +153,7 @@ def _e2_residual(fam: AppellFamily, n: int) -> XPoly:
     # D^k coefficient (1/2) q^(n-k) e_{k-1,q}/[k-1]_q! for k = 2..n,
     # interpolating the printed leading terms; see the golden report.
     e = euler_numbers(n)
-    derivs = _derivative_chain(fam.polynomial(n), n)
+    derivs = fam.polynomial(n).q_derivatives(n)
     total = XPoly.zero()
     for k in range(2, n + 1):
         c = _qp(n - k) * e[k - 1] / QRat.from_poly(q_factorial(k - 1))
@@ -209,7 +181,7 @@ def _g1_residual(fam: AppellFamily, n: int) -> XPoly:
 
 def _g2_residual(fam: AppellFamily, n: int) -> XPoly:
     g = fam.numbers(n)
-    derivs = _derivative_chain(fam.polynomial(n), n)
+    derivs = fam.polynomial(n).q_derivatives(n)
     total = XPoly.zero()
     for k in range(2, n + 1):
         c = _qp(n - k - 1) * g[k] / (QRat.from_poly(q_factorial(k)) * 2)
@@ -220,61 +192,52 @@ def _g2_residual(fam: AppellFamily, n: int) -> XPoly:
     return total - fam.polynomial(n).scale_x(QRAT_Q).scale(_qi(n))
 
 
-def verify_printed_theorem(kind: FamilyKind, theorem_id: str, n: int,
-                           e1_reading: str = "numbers",
-                           order: int | None = None) -> DiscrepancyReport:
-    """Check one specialized claim at degree n, term by term as printed.
+# Printed claim -> (family, residual at degree n).  The e1 coefficient
+# symbol carries no q subscript or argument; "numbers" reads it as e_{j,q}
+# from the Euler-number generator, "values" as the polynomial value
+# E_{j,q}(0).
+_PRINTED_CLAIMS = {
+    "b1": (FamilyKind.BERNOULLI, _b1_residual),
+    "b2": (FamilyKind.BERNOULLI, _b2_residual),
+    "e1[numbers]": (FamilyKind.EULER,
+                    lambda fam, n: _e1_residual(fam, n, euler_numbers(n))),
+    "e1[values]": (FamilyKind.EULER,
+                   lambda fam, n: _e1_residual(fam, n, fam.numbers(n))),
+    "e2": (FamilyKind.EULER, _e2_residual),
+    "g1": (FamilyKind.GENOCCHI, _g1_residual),
+    "g2": (FamilyKind.GENOCCHI, _g2_residual),
+}
+
+
+def first_counterexample(claim_id: str, degrees, residual) -> DiscrepancyReport:
+    """Check ``residual(n)`` over `degrees` in order and stop at the first
+    nonzero one.  A range with no degree in it is inapplicable."""
+    status = "inapplicable"
+    for n in degrees:
+        r = residual(n)
+        if not r.is_zero():
+            return DiscrepancyReport(claim_id, "refuted", n, r)
+        status = "confirmed"
+    return DiscrepancyReport(claim_id, status, None, None)
+
+
+def verify_printed_theorem(kind: FamilyKind, theorem_id: str, max_n: int,
+                           e1_reading: str = "numbers") -> DiscrepancyReport:
+    """Check one specialized claim term by term as printed, for
+    2 <= n <= max_n, recording the smallest counterexample.
 
     Descriptive only: the returned report never raises on a refuted
-    claim.  Degrees below each statement's own range are inapplicable.
+    claim.  With max_n below 2 the claim is inapplicable.
     """
-    kind = FamilyKind(kind)
-    expected = _THEOREM_FAMILY.get(theorem_id)
-    if expected is None:
-        raise ValueError(f"unknown printed theorem {theorem_id!r}")
-    if expected is not kind:
-        raise ValueError(f"theorem {theorem_id} is about the {expected.value} family")
     claim = f"e1[{e1_reading}]" if theorem_id == "e1" else theorem_id
-    if n < 2:
-        return DiscrepancyReport(claim, "inapplicable", None, None)
-    fam = make_family(kind, order if order is not None else max(n, 10))
-    if theorem_id == "b1":
-        residual = _b1_residual(fam, n)
-    elif theorem_id == "b2":
-        residual = _b2_residual(fam, n)
-    elif theorem_id == "e1":
-        residual = _e1_residual(fam, n, e1_reading)
-    elif theorem_id == "e2":
-        residual = _e2_residual(fam, n)
-    elif theorem_id == "g1":
-        residual = _g1_residual(fam, n)
-    else:
-        residual = _g2_residual(fam, n)
-    if residual.is_zero():
-        return DiscrepancyReport(claim, "confirmed", None, None)
-    return DiscrepancyReport(claim, "refuted", n, residual)
-
-
-def verify_printed_theorem_range(kind: FamilyKind, theorem_id: str,
-                                 max_n: int, e1_reading: str = "numbers",
-                                 lo: int = 2) -> DiscrepancyReport:
-    """Aggregate a printed-theorem check over lo..max_n; the recorded
-    residual is the one at the smallest counterexample."""
-    reports = [verify_printed_theorem(kind, theorem_id, n, e1_reading,
-                                      order=max(max_n, 10))
-               for n in range(lo, max_n + 1)]
-    return _aggregate(reports)
-
-
-def _aggregate(reports: list[DiscrepancyReport]) -> DiscrepancyReport:
-    applicable = [r for r in reports if r.status != "inapplicable"]
-    claim = reports[0].claim_id
-    if not applicable:
-        return DiscrepancyReport(claim, "inapplicable", None, None)
-    for r in applicable:
-        if r.status == "refuted":
-            return r
-    return DiscrepancyReport(claim, "confirmed", None, None)
+    if claim not in _PRINTED_CLAIMS:
+        raise ValueError(f"unknown printed claim {claim!r}")
+    expected, residual = _PRINTED_CLAIMS[claim]
+    if expected is not FamilyKind(kind):
+        raise ValueError(f"theorem {theorem_id} is about the {expected.value} family")
+    fam = make_family(expected, max(max_n, 10))
+    return first_counterexample(claim, range(2, max_n + 1),
+                                lambda n: residual(fam, n))
 
 
 def verify_euler_number_relation(max_n: int) -> DiscrepancyReport:
@@ -287,10 +250,6 @@ def verify_euler_number_relation(max_n: int) -> DiscrepancyReport:
     nums = euler_numbers(max_n)
     fam = make_family(FamilyKind.EULER, max(max_n, 2))
     half = Fraction(1, 2)
-    for n in range(max_n + 1):
-        rhs = fam.polynomial(n).evaluate_x(half) * QRat(2 ** n)
-        diff = nums[n] - rhs
-        if not diff.is_zero():
-            return DiscrepancyReport("euler-relation", "refuted", n,
-                                     XPoly((diff,)))
-    return DiscrepancyReport("euler-relation", "confirmed", None, None)
+    return first_counterexample(
+        "euler-relation", range(max_n + 1),
+        lambda n: XPoly((nums[n] - fam.polynomial(n).evaluate_x(half) * QRat(2 ** n),)))

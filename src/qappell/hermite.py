@@ -19,7 +19,8 @@ from .qarith import (QPoly, QRat, QRAT_Q, QRAT_ZERO, q_double_factorial_even,
                      q_factorial, q_integer)
 from .qseries import scale_arg_q
 from .appell import (AppellFamily, VerificationReport, XPoly, make_report)
-from .families import DiscrepancyReport, FamilyKind, make_family
+from .families import (DiscrepancyReport, FamilyKind,
+                       first_counterexample, make_family)
 
 _DEFAULT_ORDER = 20
 
@@ -68,26 +69,29 @@ def difference_residual(n: int, fam: AppellFamily | None = None) -> XPoly:
     """q^(n-2) D^2 H_n - x q^n D H_n + [n]_q H_n(qx)."""
     if fam is None:
         fam = hermite_family(max(n, _DEFAULT_ORDER))
-    hn = fam.polynomial(n)
-    d1 = hn.q_derivative()
-    d2 = d1.q_derivative()
+    hn, d1, d2 = fam.polynomial(n).q_derivatives(2)
     total = d2.scale(QRat.q_power(n - 2))
     total = total - d1.times_x().scale(QRat.q_power(n))
     return total + hn.scale_x(QRAT_Q).scale(QRat.from_poly(q_integer(n)))
 
 
-def verify_hermite_recurrence(n: int, order: int | None = None) -> VerificationReport:
-    if n < 2:
-        raise ValueError("the three-term recurrence starts at n = 2")
-    fam = hermite_family(order if order is not None else max(n, _DEFAULT_ORDER))
-    return make_report("h1", "hermite", (n, n), (recurrence_residual(n, fam),))
+def _hermite_range(theorem_id: str, lo: int, max_n: int, order: int | None,
+                   residual) -> VerificationReport:
+    fam = hermite_family(order if order is not None else max(max_n, _DEFAULT_ORDER))
+    return make_report(theorem_id, "hermite", (lo, max_n),
+                       lambda n: residual(n, fam))
 
 
-def verify_hermite_difference(n: int, order: int | None = None) -> VerificationReport:
-    if n < 1:
-        raise ValueError("the difference equation starts at n = 1")
-    fam = hermite_family(order if order is not None else max(n, _DEFAULT_ORDER))
-    return make_report("h2", "hermite", (n, n), (difference_residual(n, fam),))
+def verify_hermite_recurrence_range(max_n: int,
+                                    order: int | None = None) -> VerificationReport:
+    """The three-term recurrence (h1) for 2 <= n <= max_n."""
+    return _hermite_range("h1", 2, max_n, order, recurrence_residual)
+
+
+def verify_hermite_difference_range(max_n: int,
+                                    order: int | None = None) -> VerificationReport:
+    """The second-order q-difference equation (h2) for 1 <= n <= max_n."""
+    return _hermite_range("h2", 1, max_n, order, difference_residual)
 
 
 def verify_hermite_generator_ratio(order: int) -> VerificationReport:
@@ -104,23 +108,18 @@ def verify_hermite_generator_ratio(order: int) -> VerificationReport:
     rhs = scale_arg_q(gen).truncate(order - 2).times_t()
     residual = lhs + rhs
     return make_report("hermite-ratio", "hermite", (0, order - 1),
-                       tuple(XPoly((c,)) for c in residual.coeffs))
+                       lambda t: XPoly((residual.coefficient(t),)))
 
 
 def verify_cross_construction(max_n: int, order: int | None = None) -> VerificationReport:
     """Generating-function construction vs normalized explicit sum."""
-    fam = hermite_family(order if order is not None else max(max_n, _DEFAULT_ORDER))
-    residuals = [hermite_series_form(n) - fam.polynomial(n)
-                 for n in range(max_n + 1)]
-    return make_report("h0-cross", "hermite", (0, max_n), residuals)
+    return _hermite_range("h0-cross", 0, max_n, order,
+                          lambda n, fam: hermite_series_form(n) - fam.polynomial(n))
 
 
 def verify_printed_series_form(max_n: int) -> DiscrepancyReport:
     """Descriptive claim: the printed explicit sum without the [n]_q!
     factor against the generating-function polynomials."""
     fam = hermite_family(max(max_n, 2))
-    for n in range(max_n + 1):
-        residual = printed_series_form(n) - fam.polynomial(n)
-        if not residual.is_zero():
-            return DiscrepancyReport("h0-normalization", "refuted", n, residual)
-    return DiscrepancyReport("h0-normalization", "confirmed", None, None)
+    return first_counterexample("h0-normalization", range(max_n + 1),
+                                lambda n: printed_series_form(n) - fam.polynomial(n))

@@ -22,7 +22,7 @@ import json
 from fractions import Fraction
 
 from .qarith import QPoly, QRat
-from .appell import XPoly
+from .appell import XPoly, signed_terms
 
 
 def fraction_to_str(c: Fraction) -> str:
@@ -114,38 +114,19 @@ def qrat_latex(r: QRat) -> str:
     return f"\\frac{{{qpoly_latex(r.num)}}}{{{qpoly_latex(r.den)}}}"
 
 
-def _coefficient_sign(c: QRat) -> tuple[int, QRat]:
-    nonzero = [x for x in c.num.coeffs if x]
-    if nonzero and all(x < 0 for x in nonzero):
-        return -1, -c
-    return 1, c
+def _latex_term(k: int, mag: QRat, composite: bool) -> str:
+    if k == 0:
+        return qrat_latex(mag)
+    var = "x" if k == 1 else f"x^{{{k}}}"
+    if mag.is_one():
+        return var
+    coeff = qrat_latex(mag)
+    return f"\\left({coeff}\\right) {var}" if composite else f"{coeff} {var}"
 
 
 def xpoly_latex(p: XPoly) -> str:
     """Descending x-powers with explicit q-polynomial coefficients."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if c.is_zero():
-            continue
-        sign, mag = _coefficient_sign(c)
-        var = "" if k == 0 else ("x" if k == 1 else f"x^{{{k}}}")
-        if var and mag.is_one():
-            body = var
-        elif var:
-            coeff = qrat_latex(mag)
-            if not mag.den.is_one() or sum(1 for x in mag.num.coeffs if x) > 1:
-                coeff = f"\\left({coeff}\\right)"
-            body = f"{coeff} {var}"
-        else:
-            body = qrat_latex(mag)
-        if not parts:
-            parts.append(f"-{body}" if sign < 0 else body)
-        else:
-            parts.append(f" - {body}" if sign < 0 else f" + {body}")
-    return "".join(parts)
+    return signed_terms(p, _latex_term)
 
 
 def latex_equations(rows) -> str:

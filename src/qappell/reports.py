@@ -15,79 +15,71 @@ deterministic discrepancy report.
 from __future__ import annotations
 
 from . import hermite
-from .appell import (VerificationReport, make_report,
-                     verify_difference_range, verify_lowering_range,
-                     verify_recurrence_range)
+from .appell import (VerificationReport, verify_difference_range,
+                     verify_lowering_range, verify_recurrence_range)
 from .families import (DiscrepancyReport, FamilyKind, make_family,
-                       verify_euler_number_relation,
-                       verify_printed_theorem_range)
+                       verify_euler_number_relation, verify_printed_theorem)
 from .render import xpoly_to_json
 
 ALL_FAMILIES = (FamilyKind.BERNOULLI, FamilyKind.EULER,
                 FamilyKind.GENOCCHI, FamilyKind.HERMITE)
-
-HARD_SCOPES = ("a1", "a2", "lowering", "h0", "h1", "h2")
-DESCRIPTIVE_SCOPES = ("b1", "b2", "e1", "e2", "g1", "g2", "h0", "euler-relation")
-SCOPES = ("all", "a1", "a2", "b1", "b2", "e1", "e2", "g1", "g2",
-          "h0", "h1", "h2", "lowering", "euler-relation")
 
 
 def _families(order: int):
     return [make_family(kind, order) for kind in ALL_FAMILIES]
 
 
+def _printed(kind: FamilyKind, theorem_id: str, *e1_reading: str):
+    return lambda max_n, *_: [
+        verify_printed_theorem(kind, theorem_id, max_n, *e1_reading)]
+
+
+# Every check, in report order: (scope, hard, run).  A hard check gates
+# the exit code; run(max_n, order, euler_max_n) returns its reports.
+_CHECKS = (
+    ("a1", True, lambda max_n, order, _: [
+        verify_recurrence_range(fam, 1, max_n) for fam in _families(order)]),
+    ("a2", True, lambda max_n, order, _: [
+        verify_difference_range(fam, 1, max_n) for fam in _families(order)]),
+    ("lowering", True, lambda max_n, order, _: [
+        verify_lowering_range(fam, max_n) for fam in _families(order)]),
+    ("h1", True, lambda max_n, order, _: [
+        hermite.verify_hermite_recurrence_range(max_n, order)]),
+    ("h2", True, lambda max_n, order, _: [
+        hermite.verify_hermite_difference_range(max_n, order)]),
+    ("h0", True, lambda max_n, order, _: [
+        hermite.verify_cross_construction(max_n, order),
+        hermite.verify_hermite_generator_ratio(order)]),
+    ("b1", False, _printed(FamilyKind.BERNOULLI, "b1")),
+    ("b2", False, _printed(FamilyKind.BERNOULLI, "b2")),
+    ("e1", False, _printed(FamilyKind.EULER, "e1", "numbers")),
+    ("e1", False, _printed(FamilyKind.EULER, "e1", "values")),
+    ("e2", False, _printed(FamilyKind.EULER, "e2")),
+    ("g1", False, _printed(FamilyKind.GENOCCHI, "g1")),
+    ("g2", False, _printed(FamilyKind.GENOCCHI, "g2")),
+    ("h0", False, lambda max_n, *_: [hermite.verify_printed_series_form(max_n)]),
+    ("euler-relation", False, lambda _, __, euler_max_n: [
+        verify_euler_number_relation(euler_max_n)]),
+)
+
+SCOPES = ("all",) + tuple(dict.fromkeys(scope for scope, _, _ in _CHECKS))
+
+
+def _run(hard: bool, scope: str, max_n: int, order: int | None,
+         euler_max_n: int | None) -> list:
+    return [report for check_scope, check_hard, run in _CHECKS
+            if check_hard is hard and scope in ("all", check_scope)
+            for report in run(max_n, order, euler_max_n)]
+
+
 def hard_reports(scope: str, max_n: int, order: int) -> list[VerificationReport]:
-    reports: list[VerificationReport] = []
-    if scope in ("all", "a1"):
-        for fam in _families(order):
-            reports.append(verify_recurrence_range(fam, 1, max_n))
-    if scope in ("all", "a2"):
-        for fam in _families(order):
-            reports.append(verify_difference_range(fam, 1, max_n))
-    if scope in ("all", "lowering"):
-        for fam in _families(order):
-            reports.append(verify_lowering_range(fam, max_n))
-    if scope in ("all", "h1"):
-        fam = hermite.hermite_family(order)
-        reports.append(make_report(
-            "h1", "hermite", (2, max_n),
-            [hermite.recurrence_residual(n, fam) for n in range(2, max_n + 1)]))
-    if scope in ("all", "h2"):
-        fam = hermite.hermite_family(order)
-        reports.append(make_report(
-            "h2", "hermite", (1, max_n),
-            [hermite.difference_residual(n, fam) for n in range(1, max_n + 1)]))
-    if scope in ("all", "h0"):
-        reports.append(hermite.verify_cross_construction(max_n, order))
-        reports.append(hermite.verify_hermite_generator_ratio(order))
-    return reports
+    return _run(True, scope, max_n, order, None)
 
 
 def descriptive_reports(scope: str, max_n: int,
                         euler_max_n: int | None = None) -> list[DiscrepancyReport]:
-    if euler_max_n is None:
-        euler_max_n = max_n
-    out: list[DiscrepancyReport] = []
-    if scope in ("all", "b1"):
-        out.append(verify_printed_theorem_range(FamilyKind.BERNOULLI, "b1", max_n))
-    if scope in ("all", "b2"):
-        out.append(verify_printed_theorem_range(FamilyKind.BERNOULLI, "b2", max_n))
-    if scope in ("all", "e1"):
-        out.append(verify_printed_theorem_range(FamilyKind.EULER, "e1", max_n,
-                                                e1_reading="numbers"))
-        out.append(verify_printed_theorem_range(FamilyKind.EULER, "e1", max_n,
-                                                e1_reading="values"))
-    if scope in ("all", "e2"):
-        out.append(verify_printed_theorem_range(FamilyKind.EULER, "e2", max_n))
-    if scope in ("all", "g1"):
-        out.append(verify_printed_theorem_range(FamilyKind.GENOCCHI, "g1", max_n))
-    if scope in ("all", "g2"):
-        out.append(verify_printed_theorem_range(FamilyKind.GENOCCHI, "g2", max_n))
-    if scope in ("all", "h0"):
-        out.append(hermite.verify_printed_series_form(max_n))
-    if scope in ("all", "euler-relation"):
-        out.append(verify_euler_number_relation(euler_max_n))
-    return out
+    return _run(False, scope, max_n, None,
+                max_n if euler_max_n is None else euler_max_n)
 
 
 def verification_to_json(report: VerificationReport) -> dict:
@@ -114,9 +106,8 @@ def run_scope(scope: str, max_n: int, order: int,
               euler_max_n: int | None = None) -> dict:
     """Run one verification scope; the payload is JSON-ready and the
     ``passed`` flag reflects hard checks only."""
-    hard = hard_reports(scope, max_n, order) if scope in ("all",) + HARD_SCOPES else []
-    descriptive = (descriptive_reports(scope, max_n, euler_max_n)
-                   if scope in ("all",) + DESCRIPTIVE_SCOPES else [])
+    hard = hard_reports(scope, max_n, order)
+    descriptive = descriptive_reports(scope, max_n, euler_max_n)
     return {
         "scope": scope,
         "max_n": max_n,

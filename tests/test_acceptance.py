@@ -11,15 +11,15 @@ from fractions import Fraction
 
 from qappell.qarith import QPoly, QRat, q_binomial
 from qappell.qseries import Series
-from qappell.appell import (XPoly, appell_polynomial, lowering_residual,
+from qappell.appell import (XPoly, lowering_residual,
                             verify_difference_range, verify_lowering_range,
                             verify_recurrence_range)
 from qappell.families import FamilyKind, classical_limit, make_family
 from qappell.hermite import (hermite_family, hermite_series_form,
                              verify_cross_construction,
-                             verify_hermite_difference,
+                             verify_hermite_difference_range,
                              verify_hermite_generator_ratio,
-                             verify_hermite_recurrence)
+                             verify_hermite_recurrence_range)
 from qappell import render, reports
 
 import oracles
@@ -72,9 +72,10 @@ def test_criterion_2_general_theorems():
 def test_criterion_3_hermite_theorems():
     with criterion(3, "hh1/hh2 n<=20 and generator ratio at order 20",
                    budget=30.0):
-        for n in range(2, 21):
-            assert verify_hermite_recurrence(n).passed, ("hh1", n)
-            assert verify_hermite_difference(n).passed, ("hh2", n)
+        rep = verify_hermite_recurrence_range(20)
+        assert rep.passed and rep.n_range == (2, 20), ("hh1", rep.first_failure)
+        rep = verify_hermite_difference_range(20)
+        assert rep.passed and rep.n_range == (1, 20), ("hh2", rep.first_failure)
         assert verify_hermite_generator_ratio(20).passed
 
 
@@ -120,7 +121,7 @@ def test_criterion_6_cross_construction_equality():
     with criterion(6, "Hermite generating function vs explicit sum, n<=20"):
         fam = hermite_family(20)
         for n in range(21):
-            a = appell_polynomial(fam, n)
+            a = fam.polynomial(n)
             b = hermite_series_form(n)
             assert a == b, n
             assert (render.dumps(render.xpoly_to_json(a))

@@ -5,12 +5,11 @@ import pytest
 
 from qappell.qarith import QPoly, QRat, QRAT_Q, q_integer
 from qappell.qseries import Series
-from qappell.appell import (AppellFamily, XPoly, alpha_coefficients,
-                            appell_polynomial, difference_residual,
-                            family_numbers, q_derivative_x,
-                            recurrence_residual, scale_x_by_q,
-                            verify_difference_a2, verify_lowering,
-                            verify_recurrence_a1)
+from qappell.appell import (AppellFamily, DegreeRangeError, XPoly,
+                            difference_residual, lowering_residual,
+                            recurrence_residual,
+                            verify_difference_range, verify_lowering_range,
+                            verify_recurrence_range)
 from qappell.families import FamilyKind, make_family
 
 import oracles
@@ -25,65 +24,68 @@ def identity_family(order=10) -> AppellFamily:
 
 def test_identity_family_numbers_and_polys():
     fam = identity_family()
-    assert family_numbers(fam, 4) == [QRat(1), QRat(0), QRat(0), QRat(0), QRat(0)]
-    assert appell_polynomial(fam, 3) == XPoly((0, 0, 0, 1))
-    assert alpha_coefficients(fam, 5) == [QRat(0)] * 6
+    assert fam.numbers(4) == (QRat(1), QRat(0), QRat(0), QRat(0), QRat(0))
+    assert fam.polynomial(3) == XPoly((0, 0, 0, 1))
+    assert fam.alphas(5) == (QRat(0),) * 6
 
 
 def test_family_numbers_examples():
     bern = make_family(FamilyKind.BERNOULLI, 12)
-    nums = family_numbers(bern, 2)
+    nums = bern.numbers(2)
     assert nums[0] == QRat(1)
     assert nums[1] == QRat(QPoly(-1), Q2)
     assert nums[2] == QRat(QPoly.q_power(2), Q2 * Q3)
 
     gen = make_family(FamilyKind.GENOCCHI, 12)
-    assert family_numbers(gen, 1) == [QRat(0), QRat(1)]
+    assert gen.numbers(1) == (QRat(0), QRat(1))
 
 
 def test_family_numbers_order_exceeded():
     fam = identity_family(4)
     with pytest.raises(ValueError):
-        family_numbers(fam, 5)
+        fam.numbers(5)
     with pytest.raises(ValueError):
-        appell_polynomial(fam, 5)
+        fam.polynomial(5)
 
 
 def test_appell_polynomial_examples():
     bern = make_family(FamilyKind.BERNOULLI, 12)
-    assert appell_polynomial(bern, 0) == XPoly((1,))
-    assert appell_polynomial(bern, 1) == XPoly((QRat(QPoly(-1), Q2), QRat(1)))
+    assert bern.polynomial(0) == XPoly((1,))
+    assert bern.polynomial(1) == XPoly((QRat(QPoly(-1), Q2), QRat(1)))
 
 
 def test_q_derivative_x_examples():
-    assert q_derivative_x(XPoly((7,))) == XPoly.zero()
-    assert q_derivative_x(XPoly((0, 0, 1))) == XPoly((0, QRat(Q2)))
+    assert XPoly((7,)).q_derivative() == XPoly.zero()
+    assert XPoly((0, 0, 1)).q_derivative() == XPoly((0, QRat(Q2)))
     bern = make_family(FamilyKind.BERNOULLI, 12)
     for n in range(1, 9):
-        lowered = q_derivative_x(appell_polynomial(bern, n))
-        assert lowered == appell_polynomial(bern, n - 1).scale(QRat(q_integer(n)))
+        lowered = bern.polynomial(n).q_derivative()
+        assert lowered == bern.polynomial(n - 1).scale(QRat(q_integer(n)))
+    p = bern.polynomial(5)
+    assert p.q_derivatives(3) == [p, p.q_derivative(), p.q_derivative().q_derivative(),
+                                  p.q_derivative().q_derivative().q_derivative()]
 
 
 def test_scale_x_by_q_examples():
-    assert scale_x_by_q(XPoly((1,))) == XPoly((1,))
-    assert scale_x_by_q(XPoly((0, 0, 1))) == XPoly((0, 0, QRat(QPoly.q_power(2))))
+    assert XPoly((1,)).scale_x(QRAT_Q) == XPoly((1,))
+    assert XPoly((0, 0, 1)).scale_x(QRAT_Q) == XPoly((0, 0, QRat(QPoly.q_power(2))))
     p = XPoly((1, 2, 3))
-    twice = scale_x_by_q(scale_x_by_q(p))
+    twice = p.scale_x(QRAT_Q).scale_x(QRAT_Q)
     assert [c.evaluate(1) for c in twice.coeffs] == [1, 2, 3]
 
 
 def test_alpha_examples():
     bern = make_family(FamilyKind.BERNOULLI, 12)
-    al = alpha_coefficients(bern, 2)
+    al = bern.alphas(2)
     assert al[0] == QRat(0)
     assert al[1] == QRat(QPoly(-1), Q2)
     assert al[2] == QRat(-QPoly.q_power(1), Q2 * Q3)
 
     gen = make_family(FamilyKind.GENOCCHI, 12)
-    assert alpha_coefficients(gen, 0)[0] == QRat(1, QPoly.q_power(1))
+    assert gen.alphas(0)[0] == QRat(1, QPoly.q_power(1))
 
     eul = make_family(FamilyKind.EULER, 12)
-    al = alpha_coefficients(eul, 2)
+    al = eul.alphas(2)
     assert al[1] == QRat(Fraction(-1, 2))
     assert al[2] == QRat(QPoly((Fraction(-1, 4), Fraction(-1, 4))))
 
@@ -92,7 +94,7 @@ def test_alpha_matches_numeric_oracle():
     q0 = Fraction(1, 3)
     for kind in FamilyKind:
         fam = make_family(kind, 12)
-        symbolic = [a.evaluate(q0) for a in alpha_coefficients(fam, 6)]
+        symbolic = [a.evaluate(q0) for a in fam.alphas(6)]
         assert symbolic == oracles.alphas(kind.value, 6, q0)
 
 
@@ -108,41 +110,76 @@ def test_shifted_generator_flag_and_rejection():
 
 def test_verify_lowering_examples():
     bern = make_family(FamilyKind.BERNOULLI, 12)
-    assert verify_lowering(bern, 4, 0).passed
-    assert verify_lowering(bern, 5, 2).passed
+    rep = verify_lowering_range(bern, 5)
+    assert rep.passed and rep.n_range == (0, 5)
+    assert lowering_residual(bern, 4, 0).is_zero()
+    assert lowering_residual(bern, 5, 2).is_zero()
     herm = make_family(FamilyKind.HERMITE, 12)
-    rep = verify_lowering(herm, 6, 6)
+    rep = verify_lowering_range(herm, 6)
     assert rep.passed
     assert rep.theorem_id == "lowering"
+    assert lowering_residual(herm, 6, 6).is_zero()
     with pytest.raises(ValueError):
-        verify_lowering(bern, 3, 4)
+        lowering_residual(bern, 3, 4)
+    with pytest.raises(ValueError):
+        verify_lowering_range(bern, bern.order + 1)
+    with pytest.raises(ValueError):
+        verify_lowering_range(bern, -1)
+
+
+class _ShiftedConstants(AppellFamily):
+    """Bernoulli with A_1 + 1 and A_2 - 1: at n = 3 the k = 1 and k = 2
+    lowering residuals are -1 and +1, so their sum cancels."""
+
+    def polynomial(self, n):
+        return super().polynomial(n) + XPoly(({1: 1, 2: -1}.get(n, 0),))
+
+
+def test_lowering_records_first_nonzero_residual_per_degree():
+    fam = _ShiftedConstants("perturbed", make_family(FamilyKind.BERNOULLI, 8).generator)
+    rep = verify_lowering_range(fam, 4)
+    assert not rep.passed and rep.first_failure == 2
+    terms = {n: [lowering_residual(fam, n, k) for k in range(n + 1)]
+             for n in range(5)}
+    assert [r.is_zero() for r in terms[3]] == [True, False, False, True]
+    assert terms[3][1] + terms[3][2] == XPoly.zero()
+    for n, residual in zip(range(5), rep.residuals):
+        failing = [r for r in terms[n] if not r.is_zero()]
+        assert residual == (failing[0] if failing else XPoly.zero()), n
 
 
 def test_verify_recurrence_examples():
     fam = identity_family()
-    rep = verify_recurrence_a1(fam, 1)
+    rep = verify_recurrence_range(fam, 1, 1)
     assert rep.passed and rep.first_failure is None
     for kind in FamilyKind:
         f = make_family(kind, 12)
-        for n in range(1, 7):
-            assert verify_recurrence_a1(f, n).passed, (kind, n)
+        assert verify_recurrence_range(f, 1, 6).passed, kind
     with pytest.raises(ValueError):
-        verify_recurrence_a1(fam, 0)
+        verify_recurrence_range(fam, 0, 0)
     with pytest.raises(ValueError):
-        verify_recurrence_a1(fam, fam.order)
+        verify_recurrence_range(fam, fam.order, fam.order)
+    with pytest.raises(DegreeRangeError):
+        verify_recurrence_range(fam, 3, 2)
 
 
 def test_verify_difference_examples():
-    assert verify_difference_a2(identity_family(), 1).passed
+    assert verify_difference_range(identity_family(), 1, 1).passed
     for kind in FamilyKind:
         f = make_family(kind, 12)
-        for n in range(1, 7):
-            assert verify_difference_a2(f, n).passed, (kind, n)
+        assert verify_difference_range(f, 1, 6).passed, kind
+    fam = identity_family()
+    with pytest.raises(ValueError):
+        verify_difference_range(fam, 0, 3)
+    with pytest.raises(ValueError):
+        verify_difference_range(fam, 1, fam.order)
+    with pytest.raises(ValueError):
+        verify_difference_range(fam, 4, 3)
 
 
 def test_hermite_alpha_pattern():
     herm = make_family(FamilyKind.HERMITE, 12)
-    al = alpha_coefficients(herm, 8)
+    al = herm.alphas(8)
     assert al[2] == QRat(-Q2)
     for k in (0, 1, 3, 4, 5, 6, 7, 8):
         assert al[k].is_zero(), k
@@ -174,7 +211,7 @@ def test_spot_check_identities_at_numeric_points():
             for x0 in points:
                 lhs, rhs = oracles.recurrence_sides(kind.value, n, q0, x0)
                 assert lhs == rhs
-                sym_lhs = (appell_polynomial(fam, n).scale_x(QRAT_Q)
+                sym_lhs = (fam.polynomial(n).scale_x(QRAT_Q)
                            .scale(QRat(q_integer(n))).evaluate(q0, x0))
                 assert sym_lhs == lhs
                 d_lhs, d_rhs = oracles.difference_sides(kind.value, n, q0, x0)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from qappell import render
-from qappell.appell import family_numbers
 from qappell.cli import main
 from qappell.families import FamilyKind, make_family
 
@@ -23,7 +22,7 @@ def test_numbers_json_bernoulli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["family"] == "bernoulli"
-    expected = family_numbers(make_family(FamilyKind.BERNOULLI, 24), 2)
+    expected = make_family(FamilyKind.BERNOULLI, 24).numbers(2)
     assert payload["numbers"] == [render.qrat_to_json(v) for v in expected]
     assert payload["numbers"][0] == {"num": ["1"], "den": ["1"]}
     assert payload["numbers"][1] == {"num": ["-1"], "den": ["1", "1"]}
@@ -92,6 +91,17 @@ def test_invalid_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--at-q", "--at-x"])
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_non_rational_point_is_a_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--family", "euler", "--n", "2", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"argument {flag}: invalid Fraction value: '{value}'" in err
+
+
 def test_alpha_subcommand(capsys):
     code, out, _ = run_cli(capsys, "alpha", "--family", "genocchi",
                            "--max-n", "1")
@@ -122,6 +132,28 @@ def test_verify_scope_h1(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "h1", "--max-n", "12",
                            "--order", "12")
     assert code == 0
+
+
+@pytest.mark.parametrize("scope", ["b1", "b2", "e1", "e2", "g1", "g2"])
+def test_verify_printed_claims_at_max_n_1_are_inapplicable(capsys, scope):
+    code, out, err = run_cli(capsys, "verify", "--scope", scope, "--max-n", "1")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["hard"] == []
+    assert payload["descriptive"]
+    assert {e["status"] for e in payload["descriptive"]} == {"inapplicable"}
+
+
+@pytest.mark.parametrize("scope", ["h1", "all"])
+def test_verify_empty_hard_range_is_a_usage_error(scope):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qappell", "verify", "--scope", scope,
+         "--max-n", "1", "--order", "4"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: h1")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_exit_1_on_hard_failure(capsys, monkeypatch):

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from qappell.qarith import QPoly, QRat
-from qappell.appell import appell_polynomial, family_numbers
+from qappell.appell import XPoly
 from qappell.families import (DiscrepancyReport, FamilyKind, classical_limit,
-                              euler_number_series, euler_numbers, make_family,
+                              euler_number_series, euler_numbers,
+                              first_counterexample, make_family,
                               verify_euler_number_relation,
-                              verify_printed_theorem,
-                              verify_printed_theorem_range)
+                              verify_printed_theorem)
 from qappell.hermite import hermite_series_form
 
 import oracles
@@ -18,11 +18,11 @@ Q2 = QPoly((1, 1))
 
 def test_make_family_examples():
     bern = make_family(FamilyKind.BERNOULLI, 10)
-    nums = family_numbers(bern, 1)
-    assert nums == [QRat(1), QRat(QPoly(-1), Q2)]
+    nums = bern.numbers(1)
+    assert nums == (QRat(1), QRat(QPoly(-1), Q2))
 
     eul = make_family(FamilyKind.EULER, 10)
-    assert family_numbers(eul, 0)[0] == QRat(1)
+    assert eul.numbers(0)[0] == QRat(1)
 
     herm = make_family(FamilyKind.HERMITE, 10)
     assert herm.generator.coefficient(2) == QRat(QPoly(-1), Q2)
@@ -100,7 +100,7 @@ def test_classical_limit_hermite():
 def test_hermite_family_agrees_with_series_form():
     fam = make_family(FamilyKind.HERMITE, 20)
     for n in range(21):
-        assert appell_polynomial(fam, n) == hermite_series_form(n)
+        assert fam.polynomial(n) == hermite_series_form(n)
 
 
 def test_printed_theorem_validation():
@@ -108,6 +108,8 @@ def test_printed_theorem_validation():
         verify_printed_theorem(FamilyKind.BERNOULLI, "g1", 3)
     with pytest.raises(ValueError):
         verify_printed_theorem(FamilyKind.BERNOULLI, "z9", 3)
+    with pytest.raises(ValueError):
+        verify_printed_theorem(FamilyKind.EULER, "e1", 3, e1_reading="bogus")
     rep = verify_printed_theorem(FamilyKind.BERNOULLI, "b1", 1)
     assert rep.status == "inapplicable"
 
@@ -117,13 +119,13 @@ def test_printed_theorem_is_descriptive_and_deterministic():
     for kind, tid in ((FamilyKind.BERNOULLI, "b1"), (FamilyKind.BERNOULLI, "b2"),
                       (FamilyKind.EULER, "e2"), (FamilyKind.GENOCCHI, "g1"),
                       (FamilyKind.GENOCCHI, "g2")):
-        first = verify_printed_theorem_range(kind, tid, 8)
-        second = verify_printed_theorem_range(kind, tid, 8)
+        first = verify_printed_theorem(kind, tid, 8)
+        second = verify_printed_theorem(kind, tid, 8)
         assert first == second
         assert first.status in ("confirmed", "refuted")
     for reading in ("numbers", "values"):
-        rep = verify_printed_theorem_range(FamilyKind.EULER, "e1", 8,
-                                           e1_reading=reading)
+        rep = verify_printed_theorem(FamilyKind.EULER, "e1", 8,
+                                     e1_reading=reading)
         assert rep.claim_id == f"e1[{reading}]"
         assert rep.status in ("confirmed", "refuted")
 
@@ -132,10 +134,24 @@ def test_printed_theorem_refutations_record_counterexamples():
     for kind, tid, kwargs in ((FamilyKind.EULER, "e1", {"e1_reading": "numbers"}),
                               (FamilyKind.EULER, "e1", {"e1_reading": "values"}),
                               (FamilyKind.EULER, "e2", {})):
-        rep = verify_printed_theorem_range(kind, tid, 8, **kwargs)
+        rep = verify_printed_theorem(kind, tid, 8, **kwargs)
         if rep.status == "refuted":
             assert rep.counterexample_n is not None
             assert rep.residual is not None and not rep.residual.is_zero()
+
+
+def test_first_counterexample_stops_at_the_first_nonzero_residual():
+    seen = []
+
+    def residual(n):
+        seen.append(n)
+        return XPoly((n - 3,)) if n >= 3 else XPoly.zero()
+
+    rep = first_counterexample("c", range(1, 9), residual)
+    assert rep == DiscrepancyReport("c", "refuted", 4, XPoly((1,)))
+    assert seen == [1, 2, 3, 4]
+    assert first_counterexample("c", range(1, 4), residual).status == "confirmed"
+    assert first_counterexample("c", range(2, 2), residual).status == "inapplicable"
 
 
 def test_euler_number_relation_report():
@@ -146,7 +162,7 @@ def test_euler_number_relation_report():
     # the two sides at n = 0 are 1/2 and 1, so the claim cannot be confirmed
     assert euler_numbers(0)[0] == QRat(Fraction(1, 2))
     eul = make_family(FamilyKind.EULER, 8)
-    assert appell_polynomial(eul, 0).evaluate_x(Fraction(1, 2)) == QRat(1)
+    assert eul.polynomial(0).evaluate_x(Fraction(1, 2)) == QRat(1)
     assert rep.status == "refuted" and rep.counterexample_n == 0
 
 
@@ -157,5 +173,5 @@ def test_polynomial_side_matches_classical_euler_numbers_at_q1():
                             Fraction(5)]
     eul = make_family(FamilyKind.EULER, 10)
     for n in range(9):
-        value = appell_polynomial(eul, n).evaluate_x(Fraction(1, 2)) * QRat(2 ** n)
+        value = eul.polynomial(n).evaluate_x(Fraction(1, 2)) * QRat(2 ** n)
         assert value.evaluate(1) == expected[n]

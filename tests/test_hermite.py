@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 from qappell.qarith import QPoly, QRat, QRAT_Q, q_integer
-from qappell.appell import XPoly, alpha_coefficients, appell_polynomial
+from qappell.appell import XPoly
 from qappell.families import FamilyKind, make_family
 from qappell.hermite import (hermite_family, hermite_series_form,
                              printed_series_form, recurrence_residual,
                              verify_cross_construction,
-                             verify_hermite_difference,
+                             verify_hermite_difference_range,
                              verify_hermite_generator_ratio,
-                             verify_hermite_recurrence,
+                             verify_hermite_recurrence_range,
                              verify_printed_series_form)
 
 import oracles
@@ -46,34 +46,35 @@ def oracle_fact(n):
 def test_recurrence_small_case_by_hand():
     # n = 2: H_2(qx) = q^2 x^2 - 1 and x q^2 H_1 - [1] q^0 H_0 agree
     fam = hermite_family(6)
-    lhs = appell_polynomial(fam, 2).scale_x(QRAT_Q)
+    lhs = fam.polynomial(2).scale_x(QRAT_Q)
     assert lhs == XPoly((-1, 0, QRat(QPoly.q_power(2))))
-    rhs = (appell_polynomial(fam, 1).times_x().scale(QRat.q_power(2))
-           - appell_polynomial(fam, 0))
+    rhs = (fam.polynomial(1).times_x().scale(QRat.q_power(2))
+           - fam.polynomial(0))
     assert lhs == rhs
     assert recurrence_residual(2, fam).is_zero()
 
 
 def test_recurrence_reproduces_h4():
-    assert verify_hermite_recurrence(4).passed
+    rep = verify_hermite_recurrence_range(4)
+    assert rep.passed and rep.n_range == (2, 4)
+    assert recurrence_residual(4).is_zero()
 
 
 def test_recurrence_range():
-    fam = hermite_family(20)
-    for n in range(2, 21):
-        rep = verify_hermite_recurrence(n)
-        assert rep.passed, n
+    rep = verify_hermite_recurrence_range(20, order=20)
+    assert rep.passed and rep.n_range == (2, 20)
+    assert len(rep.residuals) == 19
     with pytest.raises(ValueError):
-        verify_hermite_recurrence(1)
+        verify_hermite_recurrence_range(1)
 
 
 def test_difference_small_and_range():
-    assert verify_hermite_difference(1).passed
-    assert verify_hermite_difference(2).passed
-    for n in range(1, 21):
-        assert verify_hermite_difference(n).passed, n
+    assert verify_hermite_difference_range(1).passed
+    assert verify_hermite_difference_range(2).passed
+    rep = verify_hermite_difference_range(20)
+    assert rep.passed and rep.n_range == (1, 20)
     with pytest.raises(ValueError):
-        verify_hermite_difference(0)
+        verify_hermite_difference_range(0)
 
 
 def test_generator_ratio():
@@ -116,7 +117,7 @@ def test_recurrence_chains_rebuild_the_table():
     # iterate the three-term recurrence from H_0, H_1 and unscale x -> x/q
     fam = hermite_family(6)
     inv_q = QRat.q_power(-1)
-    polys = [appell_polynomial(fam, 0), appell_polynomial(fam, 1)]
+    polys = [fam.polynomial(0), fam.polynomial(1)]
     for n in range(2, 5):
         scaled = (polys[n - 1].times_x().scale(QRat.q_power(n))
                   - polys[n - 2].scale(QRat(q_integer(n - 1)) * QRat.q_power(n - 2)))
@@ -135,13 +136,13 @@ def test_cross_construction_report():
 def test_classical_limit_matches_he():
     fam = hermite_family(10)
     for n in range(11):
-        coeffs = [c.evaluate(1) for c in appell_polynomial(fam, n).coeffs]
+        coeffs = [c.evaluate(1) for c in fam.polynomial(n).coeffs]
         assert coeffs == oracles.hermite_he(n)
 
 
 def test_hermite_alphas_match_ratio_identity():
     # the ratio D_q H / H(qt) = -t forces alpha_2 = -[2]_q and nothing else
     fam = make_family(FamilyKind.HERMITE, 12)
-    al = alpha_coefficients(fam, 10)
+    al = fam.alphas(10)
     assert al[2] == QRat(-QPoly((1, 1)))
     assert all(al[k].is_zero() for k in range(11) if k != 2)
