@@ -1,10 +1,13 @@
 """Generic q-Appell machinery.
 
-A family is determined by its generator series A(t): the polynomials are
-A_n(x) = sum_k [n k]_q A_k x^(n-k) with A_k = [k]_q! times the t^k
-coefficient of the generator.  The alpha coefficients are read off the
-quotient t * D_q A(t) / A(qt), and the two structural identities checked
-here are
+A family is held in the q-divided-power basis of Al-Salam's q-Appell
+sets: its numbers A_k = [k]_q! [t^k]A(t) of the generator A(t).  In that
+basis e_q(t) is all ones, t -> qt multiplies A_k by q^k, t D_q multiplies
+it by [k]_q, and a product of series is a q-binomial convolution, so a
+family's numbers and alphas are triangular solves, computed as far as
+they are asked for.  The polynomials are A_n(x) = sum_k [n k]_q A_k
+x^(n-k).  The alpha coefficients are those of the quotient
+t * D_q A(t) / A(qt), and the two structural identities checked here are
 
   recurrence:  [n]_q A_n(qx) = sum_k [n k]_q alpha_k q^(n-k) A_{n-k}(x)
                                + x [n]_q q^n A_{n-1}(x)
@@ -19,12 +22,13 @@ alpha quotient then cancels a common factor of t.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qarith import (QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO, q_binomial,
-                     q_factorial, q_integer)
-from .qseries import Series, scale_arg_q
+from .qarith import (FracAcc, QPoly, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO,
+                     q_binomial, q_factorial, q_integer)
+from .qseries import Series
 
 
 def _as_qrat(c) -> QRat:
@@ -189,14 +193,42 @@ def signed_terms(p: XPoly, term) -> str:
     return "".join(parts) or "0"
 
 
-class AppellFamily:
-    """A q-Appell family, defined by name and generator series.
+def solve_step(rhs: QRat, terms, pivot: QRat) -> QRat:
+    """One row of a triangular solve: (rhs - sum of terms) / pivot.
 
-    The generator must not vanish identically; a zero constant term
-    (valuation 1, the "shifted" case) is accepted, while a valuation of
-    two or more is rejected because the alpha quotient is then undefined.
-    Derived data (numbers, polynomials, alphas) is cached; the cached
-    values are immutable, so sharing a family between threads is safe.
+    Each term is an unreduced (num, den) pair of QPolys; the sum goes
+    through one FracAcc, so the row pays a single canonicalizing gcd.
+    """
+    acc = FracAcc()
+    acc.add(rhs)
+    for num, den in terms:
+        acc.add_raw(-num, den)
+    return QRat(acc.num * pivot.den, acc.den * pivot.num)
+
+
+def divided_power_series(values) -> Series:
+    """The series sum A_n t^n / [n]_q! of divided-power values A_n."""
+    return Series([a if a.is_zero() else QRat(a.num, a.den * q_factorial(n))
+                   for n, a in enumerate(values)])
+
+
+class AppellFamily:
+    """A q-Appell family, held in the q-divided-power basis.
+
+    A family is its numbers A_n = [n]_q! [t^n]A(t) for n <= order.  Built
+    from a generator series, they are its coefficients times [n]_q!;
+    built with ``from_numbers``, they come from a rule, and the generator
+    is a view made on first use.  The generator must not vanish
+    identically; a zero constant term (valuation 1, the "shifted" case)
+    is accepted, while a valuation of two or more is rejected because the
+    alpha quotient is then undefined.
+
+    Numbers, alphas and polynomials are computed on demand: each cache
+    holds a prefix that grows to the largest index asked for, never past
+    the order, and a value once computed never changes.  One lock per
+    family guards every extension, so a family may be shared between
+    threads: concurrent callers get exactly the values a single thread
+    would, and each value is computed once.
     """
 
     def __init__(self, name: str, generator: Series):
@@ -207,64 +239,101 @@ class AppellFamily:
             raise ValueError(
                 "generator vanishes to order >= 2 at t = 0; the alpha "
                 "quotient does not determine a power series")
+        coeffs = generator.coeffs
+        self._start(name, generator.order, lambda n, _: (
+            coeffs[n] if coeffs[n].is_zero()
+            else coeffs[n] * QRat.from_poly(q_factorial(n))))
+        self._generator = generator
+
+    @classmethod
+    def from_numbers(cls, name: str, order: int, number) -> AppellFamily:
+        """The family whose A_n is ``number(n, prefix)``, where prefix
+        holds A_0 .. A_{n-1}.  A_0 and A_1 must not both vanish."""
+        fam = cls.__new__(cls)
+        fam._start(name, order, number)
+        return fam
+
+    def _start(self, name: str, order: int, number) -> None:
         self.name = name
-        self.generator = generator
-        self.shifted = v == 1
-        self._numbers: tuple[QRat, ...] | None = None
-        self._alphas: tuple[QRat, ...] | None = None
+        self.order = order
+        self._number = number
+        self._lock = threading.Lock()
+        self._numbers: list[QRat] = []
+        self._alphas: list[QRat] = []
         self._polys: dict[int, XPoly] = {}
+        self._generator: Series | None = None
+        self.shifted = self.numbers(0)[0].is_zero()
+
+    def _numbers_upto(self, upto: int) -> list[QRat]:
+        # The caller holds the lock.
+        nums = self._numbers
+        while len(nums) <= upto:
+            nums.append(self._number(len(nums), nums))
+        return nums
 
     @property
-    def order(self) -> int:
-        return self.generator.order
+    def generator(self) -> Series:
+        """The generator series A(t), truncated at the order."""
+        with self._lock:
+            if self._generator is None:
+                self._generator = divided_power_series(
+                    self._numbers_upto(self.order))
+            return self._generator
 
     def numbers(self, upto: int) -> tuple[QRat, ...]:
         """A_0 .. A_upto, where A_n = [n]_q! * (t^n coefficient)."""
         if upto > self.order:
             raise ValueError(f"index {upto} exceeds the generator order {self.order}")
-        if self._numbers is None:
-            self._numbers = tuple(
-                c if c.is_zero() else c * QRat.from_poly(q_factorial(n))
-                for n, c in enumerate(self.generator.coeffs))
-        return self._numbers[: upto + 1]
+        with self._lock:
+            return tuple(self._numbers_upto(upto)[: upto + 1])
 
     def polynomial(self, n: int) -> XPoly:
         """A_n(x) = sum_k [n k]_q A_k x^(n-k)."""
         if not 0 <= n <= self.order:
             raise ValueError(f"degree {n} outside 0..{self.order}")
-        cached = self._polys.get(n)
-        if cached is None:
-            nums = self.numbers(n)
-            coeffs = []
-            for k in range(n, -1, -1):
-                # coefficient of x^(n-k)
-                a = nums[k]
-                coeffs.append(a if a.is_zero()
-                              else a * QRat.from_poly(q_binomial(n, k)))
-            cached = XPoly(coeffs)
-            self._polys[n] = cached
-        return cached
+        with self._lock:
+            cached = self._polys.get(n)
+            if cached is None:
+                nums = self._numbers_upto(n)
+                coeffs = []
+                for k in range(n, -1, -1):
+                    # coefficient of x^(n-k)
+                    a = nums[k]
+                    coeffs.append(a if a.is_zero()
+                                  else a * QRat.from_poly(q_binomial(n, k)))
+                cached = XPoly(coeffs)
+                self._polys[n] = cached
+            return cached
 
     def alphas(self, upto: int) -> tuple[QRat, ...]:
-        """alpha_0 .. alpha_upto from t * D_q A(t) / A(qt).
+        """alpha_0 .. alpha_upto, the divided-power coefficients of
+        t * D_q A(t) / A(qt).
 
-        The quotient is computed at the smallest truncation that covers
-        the request (its leading coefficients do not depend on the
-        truncation order) and recomputed only if a later call asks for
-        more.
+        In the divided-power basis the quotient is the deconvolution
+
+          sum_k [m k]_q q^(m-k) alpha_k A_{m-k} = [m]_q A_m,
+
+        solved for alpha_n at m = n, or at m = n + 1 for a shifted
+        generator (A_0 = 0), where the common factor t cancels.
         """
         if upto > self.order - 1:
             raise ValueError(
                 f"alpha index {upto} exceeds order-1 = {self.order - 1}")
-        if self._alphas is None or len(self._alphas) <= upto:
-            need = min(upto + (1 if self.shifted else 0), self.order)
-            numerator = self.generator.q_derivative().times_t().truncate(need)
-            denominator = scale_arg_q(self.generator).truncate(need)
-            quotient = numerator.divide(denominator)
-            self._alphas = tuple(
-                c if c.is_zero() else c * QRat.from_poly(q_factorial(n))
-                for n, c in enumerate(quotient.coeffs))
-        return self._alphas[: upto + 1]
+        with self._lock:
+            al = self._alphas
+            while len(al) <= upto:
+                al.append(self._alpha(len(al)))
+            return tuple(al[: upto + 1])
+
+    def _alpha(self, n: int) -> QRat:
+        # The caller holds the lock and has alpha_0 .. alpha_{n-1}.
+        m = n + 1 if self.shifted else n
+        nums = self._numbers_upto(m)
+        terms = ((q_binomial(m, k) * QPoly.q_power(m - k) * a.num * nums[m - k].num,
+                  a.den * nums[m - k].den)
+                 for k, a in enumerate(self._alphas) if a and nums[m - k])
+        pivot = nums[m - n] * QRat.from_poly(q_binomial(m, n) * QPoly.q_power(m - n))
+        return solve_step(nums[m] * QRat.from_poly(q_integer(m)), terms, pivot)
 
 
 class DegreeRangeError(ValueError):

@@ -210,9 +210,25 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Write ``--at-x -2/7`` as ``--at-x=-2/7``.  argparse takes a token
+    that starts with '-' for an option unless it looks like a decimal
+    number, so a negative fraction after a point flag needs the '=' form;
+    a token that starts with '-' and a digit is never an option here."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in ("--at-q", "--at-x") and token[:1] == "-"
+                and token[1:2].isdigit()):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_point_values(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except PoleError as exc:

@@ -7,6 +7,13 @@ Generators:
   genocchi    2t / (e_q(t) + 1)          (shifted: zero constant term)
   hermite     sum (-1)^m q^(m(m-1)) t^(2m) / [2m]_q!!
 
+Each family is built from its divided-power numbers A_n = [n]_q! [t^n]A(t).
+A product of series is a q-binomial convolution of numbers and e_q(t)
+has every number equal to 1, so clearing the denominator of a generator
+turns it into one triangular solve; the Hermite numbers have a closed
+form.  The numbers extend on demand, so what a family costs depends on
+the degrees asked for, not on its order.
+
 The specialized recurrence/difference statements for the first three
 families (claims b1, b2, e1, e2, g1, g2) are checked exactly as printed
 and reported descriptively: a refuted claim is recorded with its smallest
@@ -22,10 +29,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qarith import (P_ONE, QPoly, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO,
-                     q_binomial, q_double_factorial_even, q_factorial,
-                     q_integer)
-from .qseries import Series, eq_exponential
-from .appell import AppellFamily, XPoly
+                     q_binomial, q_factorial, q_integer)
+from .qseries import Series
+from .appell import AppellFamily, XPoly, divided_power_series, solve_step
 
 
 class FamilyKind(str, Enum):
@@ -35,48 +41,72 @@ class FamilyKind(str, Enum):
     HERMITE = "hermite"
 
 
+def _row(prefix, m: int, base: int = 1):
+    """The terms [m k]_q base^(m-k) x_k over a known prefix x_0 .. x_{n-1},
+    as unreduced (num, den) pairs for ``solve_step``."""
+    return ((q_binomial(m, k) * base ** (m - k) * x.num, x.den)
+            for k, x in enumerate(prefix) if x)
+
+
+def _bernoulli_number(n: int, b) -> QRat:
+    # t / (e_q(t) - 1):  sum_{k<=n} [n+1 k]_q b_k = delta_{n0}
+    return solve_step(QRat(int(n == 0)), _row(b, n + 1),
+                      QRat.from_poly(q_integer(n + 1)))
+
+
+def _euler_numbers_solve(first: int):
+    # 2 / (e_q(t) + 1) at first = 0, 2t / (e_q(t) + 1) at first = 1:
+    # 2 A_n = 2 delta_{n,first} - sum_{k<n} [n k]_q A_k
+    return lambda n, a: solve_step(QRat(2 * (n == first)), _row(a, n), QRat(2))
+
+
+@lru_cache(maxsize=None)
+def _odd_q_factorial(m: int) -> QPoly:
+    """[1]_q [3]_q ... [2m-1]_q, which is [2m]_q! / [2m]_q!!."""
+    return P_ONE if m == 0 else _odd_q_factorial(m - 1) * q_integer(2 * m - 1)
+
+
+def _hermite_number(n: int, _) -> QRat:
+    # [2m]_q! (-1)^m q^(m(m-1)) / [2m]_q!!; odd numbers vanish.
+    if n % 2:
+        return QRAT_ZERO
+    m = n // 2
+    num = QPoly((0,) * (m * (m - 1)) + _odd_q_factorial(m).coeffs)
+    return QRat.from_poly(-num if m % 2 else num)
+
+
+_NUMBERS = {
+    FamilyKind.BERNOULLI: _bernoulli_number,
+    FamilyKind.EULER: _euler_numbers_solve(0),
+    FamilyKind.GENOCCHI: _euler_numbers_solve(1),
+    FamilyKind.HERMITE: _hermite_number,
+}
+
+
 @lru_cache(maxsize=None)
 def make_family(kind: FamilyKind, order: int) -> AppellFamily:
-    """Build a family's generator exactly, truncated at `order`."""
+    """A family whose numbers, alphas and polynomials reach `order`."""
     kind = FamilyKind(kind)
     if order < 2:
         raise ValueError("family order must be >= 2")
-    if kind is FamilyKind.BERNOULLI:
-        # The divisor has valuation 1, so divide one order higher.
-        num = Series.monomial(order + 1, 1)
-        den = eq_exponential(order + 1) - Series.one(order + 1)
-        gen = num / den
-    elif kind is FamilyKind.EULER:
-        gen = Series.constant(2, order) / (eq_exponential(order) + Series.one(order))
-    elif kind is FamilyKind.GENOCCHI:
-        num = Series.monomial(order, 1, 2)
-        gen = num / (eq_exponential(order) + Series.one(order))
-    else:
-        # Odd coefficients are structurally zero for the Hermite generator.
-        coeffs = [QRAT_ZERO] * (order + 1)
-        for m in range(order // 2 + 1):
-            num = QPoly.q_power(m * (m - 1))
-            if m % 2:
-                num = -num
-            coeffs[2 * m] = QRat(num, q_double_factorial_even(m))
-        gen = Series(coeffs)
-    return AppellFamily(kind.value, gen)
+    return AppellFamily.from_numbers(kind.value, order, _NUMBERS[kind])
 
 
 def euler_number_series(order: int) -> Series:
     """The Euler-number generator t e_q(t) / (e_q(2t) - 1), as printed."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    num = eq_exponential(order).times_t()
-    den = eq_exponential(order + 1).scale_arg(2) - Series.one(order + 1)
-    return num / den
+    return divided_power_series(euler_numbers(order))
 
 
 def euler_numbers(upto: int) -> list[QRat]:
-    """e_0 .. e_upto, i.e. [n]_q! times the generator coefficients."""
-    series = euler_number_series(max(upto, 1))
-    return [c if c.is_zero() else c * QRat.from_poly(q_factorial(n))
-            for n, c in enumerate(series.coeffs[: upto + 1])]
+    """e_0 .. e_upto, the divided-power coefficients of the Euler-number
+    generator: sum_{k<=n} [n+1 k]_q 2^(n+1-k) e_k = [n+1]_q."""
+    e: list[QRat] = []
+    for n in range(upto + 1):
+        qn = QRat.from_poly(q_integer(n + 1))
+        e.append(solve_step(qn, _row(e, n + 1, 2), qn * 2))
+    return e
 
 
 def classical_limit(kind: FamilyKind, n: int) -> list[Fraction]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .qarith import (QPoly, QRat, QRAT_Q, QRAT_ZERO, q_double_factorial_even,
                      q_factorial, q_integer)
-from .qseries import scale_arg_q
 from .appell import (AppellFamily, VerificationReport, XPoly, make_report)
 from .families import (DiscrepancyReport, FamilyKind,
                        first_counterexample, make_family)
@@ -97,18 +96,22 @@ def verify_hermite_difference_range(max_n: int,
 def verify_hermite_generator_ratio(order: int) -> VerificationReport:
     """Check D_q H(t) = -t * H(qt) coefficientwise to order - 1.
 
-    The residual series is recorded as an XPoly over the t-powers so it
-    fits the shared report type; first_failure is the smallest failing
-    t-power.
+    In the divided-power basis the t^n coefficient of the identity reads
+    H_{n+1} = -[n]_q q^(n-1) H_{n-1}.  The residual at t-power n is
+    H_{n+1} + [n]_q q^(n-1) H_{n-1}, recorded as an XPoly so it fits the
+    shared report type; first_failure is the smallest failing t-power.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    gen = hermite_family(order).generator
-    lhs = gen.q_derivative()
-    rhs = scale_arg_q(gen).truncate(order - 2).times_t()
-    residual = lhs + rhs
-    return make_report("hermite-ratio", "hermite", (0, order - 1),
-                       lambda t: XPoly((residual.coefficient(t),)))
+    h = hermite_family(order).numbers(order)
+
+    def residual(n: int) -> XPoly:
+        if n == 0:
+            return XPoly((h[1],))
+        back = QRat.from_poly(q_integer(n) * QPoly.q_power(n - 1)) * h[n - 1]
+        return XPoly((h[n + 1] + back,))
+
+    return make_report("hermite-ratio", "hermite", (0, order - 1), residual)
 
 
 def verify_cross_construction(max_n: int, order: int | None = None) -> VerificationReport:

@@ -15,8 +15,9 @@ deterministic discrepancy report.
 from __future__ import annotations
 
 from . import hermite
-from .appell import (VerificationReport, verify_difference_range,
-                     verify_lowering_range, verify_recurrence_range)
+from .appell import (DegreeRangeError, VerificationReport,
+                     verify_difference_range, verify_lowering_range,
+                     verify_recurrence_range)
 from .families import (DiscrepancyReport, FamilyKind, make_family,
                        verify_euler_number_relation, verify_printed_theorem)
 from .render import xpoly_to_json
@@ -34,45 +35,56 @@ def _printed(kind: FamilyKind, theorem_id: str, *e1_reading: str):
         verify_printed_theorem(kind, theorem_id, max_n, *e1_reading)]
 
 
-# Every check, in report order: (scope, hard, run).  A hard check gates
-# the exit code; run(max_n, order, euler_max_n) returns its reports.
+# Every check, in report order: (scope, first degree, run).  A hard
+# check has the smallest degree it examines and gates the exit code; a
+# descriptive check has None.  run(max_n, order, euler_max_n) returns its
+# reports.
 _CHECKS = (
-    ("a1", True, lambda max_n, order, _: [
+    ("a1", 1, lambda max_n, order, _: [
         verify_recurrence_range(fam, 1, max_n) for fam in _families(order)]),
-    ("a2", True, lambda max_n, order, _: [
+    ("a2", 1, lambda max_n, order, _: [
         verify_difference_range(fam, 1, max_n) for fam in _families(order)]),
-    ("lowering", True, lambda max_n, order, _: [
+    ("lowering", 0, lambda max_n, order, _: [
         verify_lowering_range(fam, max_n) for fam in _families(order)]),
-    ("h1", True, lambda max_n, order, _: [
+    ("h1", 2, lambda max_n, order, _: [
         hermite.verify_hermite_recurrence_range(max_n, order)]),
-    ("h2", True, lambda max_n, order, _: [
+    ("h2", 1, lambda max_n, order, _: [
         hermite.verify_hermite_difference_range(max_n, order)]),
-    ("h0", True, lambda max_n, order, _: [
+    ("h0", 0, lambda max_n, order, _: [
         hermite.verify_cross_construction(max_n, order),
         hermite.verify_hermite_generator_ratio(order)]),
-    ("b1", False, _printed(FamilyKind.BERNOULLI, "b1")),
-    ("b2", False, _printed(FamilyKind.BERNOULLI, "b2")),
-    ("e1", False, _printed(FamilyKind.EULER, "e1", "numbers")),
-    ("e1", False, _printed(FamilyKind.EULER, "e1", "values")),
-    ("e2", False, _printed(FamilyKind.EULER, "e2")),
-    ("g1", False, _printed(FamilyKind.GENOCCHI, "g1")),
-    ("g2", False, _printed(FamilyKind.GENOCCHI, "g2")),
-    ("h0", False, lambda max_n, *_: [hermite.verify_printed_series_form(max_n)]),
-    ("euler-relation", False, lambda _, __, euler_max_n: [
+    ("b1", None, _printed(FamilyKind.BERNOULLI, "b1")),
+    ("b2", None, _printed(FamilyKind.BERNOULLI, "b2")),
+    ("e1", None, _printed(FamilyKind.EULER, "e1", "numbers")),
+    ("e1", None, _printed(FamilyKind.EULER, "e1", "values")),
+    ("e2", None, _printed(FamilyKind.EULER, "e2")),
+    ("g1", None, _printed(FamilyKind.GENOCCHI, "g1")),
+    ("g2", None, _printed(FamilyKind.GENOCCHI, "g2")),
+    ("h0", None, lambda max_n, *_: [hermite.verify_printed_series_form(max_n)]),
+    ("euler-relation", None, lambda _, __, euler_max_n: [
         verify_euler_number_relation(euler_max_n)]),
 )
 
 SCOPES = ("all",) + tuple(dict.fromkeys(scope for scope, _, _ in _CHECKS))
 
 
+def _selected(hard: bool, scope: str):
+    return [(check_scope, lo, run) for check_scope, lo, run in _CHECKS
+            if (lo is not None) is hard and scope in ("all", check_scope)]
+
+
 def _run(hard: bool, scope: str, max_n: int, order: int | None,
          euler_max_n: int | None) -> list:
-    return [report for check_scope, check_hard, run in _CHECKS
-            if check_hard is hard and scope in ("all", check_scope)
+    return [report for _, _, run in _selected(hard, scope)
             for report in run(max_n, order, euler_max_n)]
 
 
 def hard_reports(scope: str, max_n: int, order: int) -> list[VerificationReport]:
+    """The hard reports of a scope.  Every selected check's degree range
+    is checked first, so an empty one raises before any family is built."""
+    for check_scope, lo, _ in _selected(True, scope):
+        if lo > max_n:
+            raise DegreeRangeError(f"{check_scope}: empty degree range {lo}..{max_n}")
     return _run(True, scope, max_n, order, None)
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,70 @@ def test_alpha_matches_numeric_oracle():
         fam = make_family(kind, 12)
         symbolic = [a.evaluate(q0) for a in fam.alphas(6)]
         assert symbolic == oracles.alphas(kind.value, 6, q0)
+
+
+def _numeric_alphas(coeffs, upto, q0):
+    """alpha_0 .. alpha_upto of t D_q A / A(qt) at q = q0, by the numeric
+    oracle's series division."""
+    gen = [c.evaluate(q0) for c in coeffs]
+    num = [oracles.qint(m, q0) * c for m, c in enumerate(gen)]
+    den = [q0 ** m * c for m, c in enumerate(gen)]
+    quot = oracles.ser_div(num, den)
+    return [oracles.qfact(n, q0) * c for n, c in enumerate(quot[: upto + 1])]
+
+
+def test_custom_generator_alphas_match_numeric_quotient():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    lead = small.filter(bool)
+    q_poly = st.lists(small, min_size=1, max_size=3).map(lambda cs: QRat(QPoly(cs)))
+
+    @hyp.settings(max_examples=30, deadline=None)
+    @hyp.given(valuation=st.sampled_from((0, 1)), upto=st.integers(0, 5),
+               lead=lead, rest=st.lists(q_poly, min_size=6, max_size=6),
+               q0=st.fractions(min_value=Fraction(1, 5), max_value=3,
+                               max_denominator=5))
+    def check(valuation, upto, lead, rest, q0):
+        order = upto + 1
+        coeffs = ([QRat(0)] * valuation + [QRat(lead)] + rest)[: order + 1]
+        fam = AppellFamily("custom", Series(coeffs))
+        assert fam.shifted == (valuation == 1)
+        symbolic = [a.evaluate(q0) for a in fam.alphas(upto)]
+        assert symbolic == _numeric_alphas(coeffs, upto, q0)
+
+    check()
+
+
+def test_shared_family_extends_as_one_thread_would():
+    build = make_family.__wrapped__       # a fresh, uncached family
+    order = 14
+    reference = build(FamilyKind.BERNOULLI, order)
+    prefixes = range(order, order - 8, -1)
+    expected = {k: (reference.alphas(k - 1), reference.numbers(k),
+                    reference.polynomial(k)) for k in prefixes}
+    fam = build(FamilyKind.BERNOULLI, order)
+    results, errors = {}, []
+
+    def ask(k):
+        try:
+            results[k] = (fam.alphas(k - 1), fam.numbers(k), fam.polynomial(k))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=ask, args=(k,)) for k in prefixes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == expected
 
 
 def test_shifted_generator_flag_and_rejection():

@@ -102,6 +102,16 @@ def test_non_rational_point_is_a_usage_error(capsys, flag, value):
     assert f"argument {flag}: invalid Fraction value: '{value}'" in err
 
 
+@pytest.mark.parametrize("flag", ["--at-q", "--at-x"])
+@pytest.mark.parametrize("value", ["-2/7", "-1/2"])
+def test_negative_rational_point_after_a_space(capsys, flag, value):
+    argv = ["poly", "--family", "euler", "--n", "2"]
+    spaced = run_cli(capsys, *argv, flag, value)
+    joined = run_cli(capsys, *argv, f"{flag}={value}")
+    assert spaced[0] == 0
+    assert spaced == joined
+
+
 def test_alpha_subcommand(capsys):
     code, out, _ = run_cli(capsys, "alpha", "--family", "genocchi",
                            "--max-n", "1")
@@ -154,6 +164,17 @@ def test_verify_empty_hard_range_is_a_usage_error(scope):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: h1")
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_checks_degree_ranges_before_building_families(capsys):
+    make_family.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scope", "all", "--max-n", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: h1: empty degree range 2..1"]
+    assert make_family.cache_info().misses == 0
 
 
 def test_verify_exit_1_on_hard_failure(capsys, monkeypatch):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qappell.qarith import QPoly, QRat
+from qappell.qarith import QPoly, QRat, q_double_factorial_even, q_factorial
+from qappell.qseries import Series, eq_exponential, scale_arg_q
 from qappell.appell import XPoly
 from qappell.families import (DiscrepancyReport, FamilyKind, classical_limit,
                               euler_number_series, euler_numbers,
@@ -41,6 +42,48 @@ def test_make_family_matches_numeric_generator():
         fam = make_family(kind, 8)
         numeric = oracles.generator(kind.value, 8, q0)
         assert [c.evaluate(q0) for c in fam.generator.coeffs] == numeric
+
+
+def _division_generator(kind: FamilyKind, order: int) -> Series:
+    """The generator as truncated Series division builds it, the reference
+    for the divided-power solves."""
+    if kind is FamilyKind.BERNOULLI:
+        # The divisor has valuation 1, so divide one order higher.
+        den = eq_exponential(order + 1) - Series.one(order + 1)
+        return Series.monomial(order + 1, 1) / den
+    if kind is FamilyKind.EULER:
+        return Series.constant(2, order) / (eq_exponential(order) + Series.one(order))
+    if kind is FamilyKind.GENOCCHI:
+        return Series.monomial(order, 1, 2) / (eq_exponential(order) + Series.one(order))
+    coeffs = [QRat(0)] * (order + 1)
+    for m in range(order // 2 + 1):
+        num = QPoly.q_power(m * (m - 1))
+        coeffs[2 * m] = QRat(-num if m % 2 else num, q_double_factorial_even(m))
+    return Series(coeffs)
+
+
+def _times_q_factorial(series: Series) -> tuple:
+    return tuple(c * QRat(q_factorial(n)) for n, c in enumerate(series.coeffs))
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_divided_power_solves_match_series_division(kind):
+    order = 24
+    gen = _division_generator(kind, order)
+    fam = make_family(kind, order)
+    assert fam.numbers(order) == _times_q_factorial(gen)
+    # alpha quotient t D_q A(t) / A(qt), truncated where it covers alpha_23
+    need = order if fam.shifted else order - 1
+    quotient = (gen.q_derivative().times_t().truncate(need)
+                / scale_arg_q(gen).truncate(need))
+    assert fam.alphas(order - 1) == _times_q_factorial(quotient)
+    assert fam.generator.coeffs == gen.coeffs
+
+
+def test_euler_numbers_match_series_division():
+    num = eq_exponential(12).times_t()
+    den = eq_exponential(13).scale_arg(2) - Series.one(13)
+    assert tuple(euler_numbers(12)) == _times_q_factorial(num / den)
 
 
 def test_euler_number_series_examples():
