@@ -18,6 +18,18 @@ t * D_q A(t) / A(qt), and the two structural identities checked here are
 together with the lowering chain A_{n-k} = ([n-k]_q!/[n]_q!) D^k A_n.
 Generators with zero constant term (the Genocchi case) are accepted: the
 alpha quotient then cancels a common factor of t.
+
+Every recurrence and difference equation checked in the package has one
+of two shapes, and each residual is a list of (index, coefficient) terms
+in one of them:
+
+  recurrence_form:  at_qx A_n(qx) + at_x x A_{n-1}(x) + sum_j w_j A_j(x)
+  difference_form:  at_qx A_n(qx) + at_x x D A_n(x) + sum_k w_k D^k A_n(x)
+
+The general identities above fill them with the alphas; the Hermite
+identities and the printed Bernoulli, Euler and Genocchi claims are the
+same shapes with other weights.  Each x-power of a residual is summed
+over a common denominator and canonicalized once.
 """
 
 from __future__ import annotations
@@ -368,6 +380,60 @@ def make_report(theorem_id: str, family: str, n_range: tuple[int, int],
                               first is None, first)
 
 
+def _qp(e: int) -> QRat:
+    return QRat.q_power(e)
+
+
+def _qb(n: int, k: int) -> QRat:
+    return QRat.from_poly(q_binomial(n, k))
+
+
+def _qi(n: int) -> QRat:
+    return QRat.from_poly(q_integer(n))
+
+
+def _qf(k: int) -> QRat:
+    return QRat.from_poly(q_factorial(k))
+
+
+def _sum(terms) -> XPoly:
+    """sum c*p over (QRat, XPoly) pairs.  Each x-power goes through one
+    FracAcc, so it pays a single canonicalizing gcd however many terms
+    reach it."""
+    accs: list[FracAcc] = []
+    for c, p in terms:
+        if c.is_zero():
+            continue
+        accs.extend(FracAcc() for _ in range(len(p.coeffs) - len(accs)))
+        for acc, a in zip(accs, p.coeffs):
+            acc.add_product(c, a)
+    return XPoly([acc.value() for acc in accs])
+
+
+def recurrence_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
+                    weights) -> XPoly:
+    """at_qx A_n(qx) + at_x x A_{n-1}(x) + sum w A_j(x) over the (j, w)
+    pairs of `weights`: the shape of the recurrence a1 and of every
+    recurrence specialized from it."""
+    poly = fam.polynomial
+    return _sum([(at_qx, poly(n).scale_x(QRAT_Q)),
+                 (at_x, poly(n - 1).times_x()),
+                 *((w, poly(j)) for j, w in weights)])
+
+
+def difference_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
+                    weights) -> XPoly:
+    """at_qx A_n(qx) + at_x x D A_n(x) + sum w D^k A_n(x) over the (k, w)
+    pairs of `weights`: the shape of the difference equation a2 and of
+    every equation specialized from it.  Derivatives are taken up to the
+    largest k asked for, which may exceed n."""
+    weights = list(weights)
+    derivs = fam.polynomial(n).q_derivatives(max([1, *(k for k, _ in weights)]))
+    return _sum([(at_qx, derivs[0].scale_x(QRAT_Q)),
+                 (at_x, derivs[1].times_x()),
+                 *((w, derivs[k]) for k, w in weights)])
+
+
 def recurrence_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
     """[n]_q A_n(qx) - sum_k [n k]_q alpha_k q^(n-k) A_{n-k}(x)
     - x [n]_q q^n A_{n-1}(x), identically zero when the recurrence holds.
@@ -377,35 +443,16 @@ def recurrence_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
     """
     if alphas is None:
         alphas = fam.alphas(n)
-    qn = QRat.from_poly(q_integer(n))
-    lhs = fam.polynomial(n).scale_x(QRAT_Q).scale(qn)
-    rhs = XPoly.zero()
-    for k in range(n + 1):
-        a = alphas[k]
-        if a.is_zero():
-            continue
-        c = a * QRat.from_poly(q_binomial(n, k)) * QRat.q_power(n - k)
-        rhs = rhs + fam.polynomial(n - k).scale(c)
-    rhs = rhs + fam.polynomial(n - 1).times_x().scale(qn * QRat.q_power(n))
-    return lhs - rhs
+    return recurrence_form(fam, n, _qi(n), -_qi(n) * _qp(n), (
+        (n - k, -alphas[k] * _qb(n, k) * _qp(n - k)) for k in range(n + 1)))
 
 
 def difference_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
     """sum_k (q^(n-k) alpha_k/[k]_q!) D^k A_n + x q^n D A_n - [n]_q A_n(qx)."""
     if alphas is None:
         alphas = fam.alphas(n)
-    derivs = fam.polynomial(n).q_derivatives(n)
-    total = XPoly.zero()
-    for k in range(n + 1):
-        a = alphas[k]
-        if a.is_zero():
-            continue
-        c = a * QRat.q_power(n - k) / QRat.from_poly(q_factorial(k))
-        total = total + derivs[k].scale(c)
-    total = total + derivs[1].times_x().scale(QRat.q_power(n))
-    qn = QRat.from_poly(q_integer(n))
-    total = total - fam.polynomial(n).scale_x(QRAT_Q).scale(qn)
-    return total
+    return difference_form(fam, n, -_qi(n), _qp(n), (
+        (k, alphas[k] * _qp(n - k) / _qf(k)) for k in range(n + 1)))
 
 
 def _lowering_term(fam: AppellFamily, n: int, k: int, dk: XPoly) -> XPoly:

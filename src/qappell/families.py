@@ -15,10 +15,13 @@ form.  The numbers extend on demand, so what a family costs depends on
 the degrees asked for, not on its order.
 
 The specialized recurrence/difference statements for the first three
-families (claims b1, b2, e1, e2, g1, g2) are checked exactly as printed
-and reported descriptively: a refuted claim is recorded with its smallest
-counterexample instead of failing, since the general identities verified
-in :mod:`qappell.appell` are the ground truth.
+families (claims b1, b2, e1, e2, g1, g2) are checked exactly as printed:
+each is its list of printed terms in :func:`qappell.appell.recurrence_form`
+(b1, e1, g1) or :func:`qappell.appell.difference_form` (b2, e2, g2), the
+two shapes of the general identities.  They are reported descriptively:
+a refuted claim is recorded with its smallest counterexample instead of
+failing, since the general identities verified in :mod:`qappell.appell`
+are the ground truth.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .qarith import (P_ONE, QPoly, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO,
-                     q_binomial, q_factorial, q_integer)
+from .qarith import (P_ONE, QPoly, QRat, QRAT_ONE, QRAT_ZERO, q_binomial,
+                     q_integer)
 from .qseries import Series
-from .appell import AppellFamily, XPoly, divided_power_series, solve_step
+from .appell import (AppellFamily, XPoly, _qb, _qf, _qi, _qp,
+                     difference_form, divided_power_series, recurrence_form,
+                     solve_step)
 
 
 class FamilyKind(str, Enum):
@@ -50,8 +55,7 @@ def _row(prefix, m: int, base: int = 1):
 
 def _bernoulli_number(n: int, b) -> QRat:
     # t / (e_q(t) - 1):  sum_{k<=n} [n+1 k]_q b_k = delta_{n0}
-    return solve_step(QRat(int(n == 0)), _row(b, n + 1),
-                      QRat.from_poly(q_integer(n + 1)))
+    return solve_step(QRat(int(n == 0)), _row(b, n + 1), _qi(n + 1))
 
 
 def _euler_numbers_solve(first: int):
@@ -104,7 +108,7 @@ def euler_numbers(upto: int) -> list[QRat]:
     generator: sum_{k<=n} [n+1 k]_q 2^(n+1-k) e_k = [n+1]_q."""
     e: list[QRat] = []
     for n in range(upto + 1):
-        qn = QRat.from_poly(q_integer(n + 1))
+        qn = _qi(n + 1)
         e.append(solve_step(qn, _row(e, n + 1, 2), qn * 2))
     return e
 
@@ -131,95 +135,48 @@ class DiscrepancyReport:
     residual: XPoly | None
 
 
-def _qp(e: int) -> QRat:
-    return QRat.q_power(e)
-
-
-def _qb(n: int, k: int) -> QRat:
-    return QRat.from_poly(q_binomial(n, k))
-
-
-def _qi(n: int) -> QRat:
-    return QRat.from_poly(q_integer(n))
-
-
 def _b1_residual(fam: AppellFamily, n: int) -> XPoly:
     b = fam.numbers(n)
-    poly = fam.polynomial
-    lhs = poly(n).scale_x(QRAT_Q)
-    half_shift = QRat(P_ONE, q_integer(2) * QPoly.q_power(1))  # 1/(q[2]_q)
-    t1 = (poly(n - 1).times_x() - poly(n - 1).scale(half_shift)).scale(_qp(n))
-    acc = XPoly.zero()
-    for k in range(n - 1):
-        c = _qb(n, k) * _qp(k - 1) * b[n - k]
-        acc = acc + poly(k).scale(c)
-    return lhs - t1 + acc.scale(QRAT_ONE / _qi(n))
+    return recurrence_form(fam, n, QRAT_ONE, -_qp(n), [
+        (n - 1, _qp(n - 1) / _qi(2)),
+        *((k, _qb(n, k) * _qp(k - 1) * b[n - k] / _qi(n)) for k in range(n - 1))])
 
 
 def _b2_residual(fam: AppellFamily, n: int) -> XPoly:
     b = fam.numbers(n)
-    derivs = fam.polynomial(n).q_derivatives(n)
-    total = XPoly.zero()
-    for k in range(2, n + 1):
-        c = _qp(n - k - 1) * b[k] / QRat.from_poly(q_factorial(k))
-        total = total + derivs[k].scale(c)
-    half_shift = QRat(P_ONE, q_integer(2) * QPoly.q_power(1))
-    total = total - (derivs[1].times_x() - derivs[1].scale(half_shift)).scale(_qp(n))
-    return total + fam.polynomial(n).scale_x(QRAT_Q).scale(_qi(n))
+    return difference_form(fam, n, _qi(n), -_qp(n), [
+        (1, _qp(n - 1) / _qi(2)),
+        *((k, _qp(n - k - 1) * b[k] / _qf(k)) for k in range(2, n + 1))])
 
 
 def _e1_residual(fam: AppellFamily, n: int, v) -> XPoly:
-    poly = fam.polynomial
-    lhs = poly(n).scale_x(QRAT_Q)
-    acc = XPoly.zero()
-    for k in range(n):
-        c = _qb(n - 1, k) * _qp(k) * v[n - k - 1]
-        acc = acc + poly(k).scale(c)
-    rhs = acc.scale(Fraction(1, 2)) + poly(n - 1).times_x().scale(_qp(n))
-    return lhs - rhs
+    return recurrence_form(fam, n, QRAT_ONE, -_qp(n), (
+        (k, -_qb(n - 1, k) * _qp(k) * v[n - k - 1] / 2) for k in range(n)))
 
 
 def _e2_residual(fam: AppellFamily, n: int) -> XPoly:
     # D^k coefficient (1/2) q^(n-k) e_{k-1,q}/[k-1]_q! for k = 2..n,
     # interpolating the printed leading terms; see the golden report.
     e = euler_numbers(n)
-    derivs = fam.polynomial(n).q_derivatives(n)
-    total = XPoly.zero()
-    for k in range(2, n + 1):
-        c = _qp(n - k) * e[k - 1] / QRat.from_poly(q_factorial(k - 1))
-        total = total + derivs[k].scale(c)
-    total = total.scale(Fraction(1, 2))
-    total = total - derivs[1].scale(_qp(n - 1) * QRat(Fraction(1, 2)))
-    total = total + derivs[1].times_x().scale(_qp(n))
-    return total - fam.polynomial(n).scale_x(QRAT_Q).scale(_qi(n))
+    return difference_form(fam, n, -_qi(n), _qp(n), [
+        (1, -_qp(n - 1) / 2),
+        *((k, _qp(n - k) * e[k - 1] / (_qf(k - 1) * 2)) for k in range(2, n + 1))])
 
 
 def _g1_residual(fam: AppellFamily, n: int) -> XPoly:
     g = fam.numbers(n)
-    poly = fam.polynomial
-    half_q = QRat(P_ONE, QPoly((0, 2)))  # 1/(2q)
-    acc = XPoly.zero()
-    for k in range(n - 1):
-        c = _qb(n, k) * g[n - k] * _qp(k)
-        acc = acc + poly(k).scale(c)
-    total = acc.scale(half_q)
-    mid = poly(n - 1).times_x().scale(QRAT_Q) - poly(n - 1).scale(half_q)
-    total = total + mid.scale(_qi(n) * _qp(n - 1))
-    total = total + poly(n).scale(_qp(n - 1))
-    return total - poly(n).scale_x(QRAT_Q).scale(_qi(n))
+    return recurrence_form(fam, n, -_qi(n), _qi(n) * _qp(n), [
+        (n, _qp(n - 1)),
+        (n - 1, -_qi(n) * _qp(n - 2) / 2),
+        *((k, _qb(n, k) * g[n - k] * _qp(k - 1) / 2) for k in range(n - 1))])
 
 
 def _g2_residual(fam: AppellFamily, n: int) -> XPoly:
     g = fam.numbers(n)
-    derivs = fam.polynomial(n).q_derivatives(n)
-    total = XPoly.zero()
-    for k in range(2, n + 1):
-        c = _qp(n - k - 1) * g[k] / (QRat.from_poly(q_factorial(k)) * 2)
-        total = total + derivs[k].scale(c)
-    total = total - derivs[1].scale(_qp(n - 2) * QRat(Fraction(1, 2)))
-    total = total + fam.polynomial(n).scale(_qp(n - 1))
-    total = total + derivs[1].times_x().scale(_qp(n))
-    return total - fam.polynomial(n).scale_x(QRAT_Q).scale(_qi(n))
+    return difference_form(fam, n, -_qi(n), _qp(n), [
+        (0, _qp(n - 1)),
+        (1, -_qp(n - 2) / 2),
+        *((k, _qp(n - k - 1) * g[k] / (_qf(k) * 2)) for k in range(2, n + 1))])
 
 
 # Printed claim -> (family, residual at degree n).  The e1 coefficient

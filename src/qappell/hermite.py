@@ -15,9 +15,10 @@ report.
 
 from __future__ import annotations
 
-from .qarith import (QPoly, QRat, QRAT_Q, QRAT_ZERO, q_double_factorial_even,
-                     q_factorial, q_integer)
-from .appell import (AppellFamily, VerificationReport, XPoly, make_report)
+from .qarith import (QPoly, QRat, QRAT_ONE, QRAT_ZERO, q_double_factorial_even,
+                     q_factorial)
+from .appell import (AppellFamily, VerificationReport, XPoly, _qf, _qi, _qp,
+                     difference_form, make_report, recurrence_form)
 from .families import (DiscrepancyReport, FamilyKind,
                        first_counterexample, make_family)
 
@@ -43,7 +44,7 @@ def hermite_series_form(n: int) -> XPoly:
     """H_n(x) as the normalized explicit sum; equals the family polynomial."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _bare_series_sum(n).scale(QRat.from_poly(q_factorial(n)))
+    return _bare_series_sum(n).scale(_qf(n))
 
 
 def printed_series_form(n: int) -> XPoly:
@@ -57,21 +58,15 @@ def recurrence_residual(n: int, fam: AppellFamily | None = None) -> XPoly:
     """H_n(qx) - x q^n H_{n-1}(x) + [n-1]_q q^(n-2) H_{n-2}(x)."""
     if fam is None:
         fam = hermite_family(max(n, _DEFAULT_ORDER))
-    poly = fam.polynomial
-    lhs = poly(n).scale_x(QRAT_Q)
-    rhs = poly(n - 1).times_x().scale(QRat.q_power(n))
-    back = poly(n - 2).scale(QRat.from_poly(q_integer(n - 1)) * QRat.q_power(n - 2))
-    return lhs - rhs + back
+    return recurrence_form(fam, n, QRAT_ONE, -_qp(n),
+                           [(n - 2, _qi(n - 1) * _qp(n - 2))])
 
 
 def difference_residual(n: int, fam: AppellFamily | None = None) -> XPoly:
     """q^(n-2) D^2 H_n - x q^n D H_n + [n]_q H_n(qx)."""
     if fam is None:
         fam = hermite_family(max(n, _DEFAULT_ORDER))
-    hn, d1, d2 = fam.polynomial(n).q_derivatives(2)
-    total = d2.scale(QRat.q_power(n - 2))
-    total = total - d1.times_x().scale(QRat.q_power(n))
-    return total + hn.scale_x(QRAT_Q).scale(QRat.from_poly(q_integer(n)))
+    return difference_form(fam, n, _qi(n), -_qp(n), [(2, _qp(n - 2))])
 
 
 def _hermite_range(theorem_id: str, lo: int, max_n: int, order: int | None,
@@ -108,7 +103,7 @@ def verify_hermite_generator_ratio(order: int) -> VerificationReport:
     def residual(n: int) -> XPoly:
         if n == 0:
             return XPoly((h[1],))
-        back = QRat.from_poly(q_integer(n) * QPoly.q_power(n - 1)) * h[n - 1]
+        back = _qi(n) * _qp(n - 1) * h[n - 1]
         return XPoly((h[n + 1] + back,))
 
     return make_report("hermite-ratio", "hermite", (0, order - 1), residual)

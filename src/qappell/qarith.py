@@ -104,24 +104,31 @@ def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
     mb = max(max(ib), -min(ib))
     if ma == 0 or mb == 0:
         return [0] * (na + nb - 1)
+    # Slots of w bytes hold every product coefficient as a balanced digit.
     bits = ma.bit_length() + mb.bit_length() + min(na, nb).bit_length() + 2
-    pa = 0
-    for c in reversed(ia):
-        pa = (pa << bits) + c
-    pb = 0
-    for c in reversed(ib):
-        pb = (pb << bits) + c
-    prod = pa * pb
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
+    w = (bits + 7) // 8
+    n = na + nb - 1
+    prod = _kron_pack(ia, w) * _kron_pack(ib, w)
+    sign = -1 if prod < 0 else 1
+    buf = abs(prod).to_bytes(n * w, "little")
+    base = 1 << (8 * w)
+    half = base >> 1
     out = []
-    for _ in range(na + nb - 1):
-        d = prod & mask
-        if d >= half:
-            d -= mask + 1
-        out.append(d)
-        prod = (prod - d) >> bits
+    carry = 0
+    for i in range(0, n * w, w):
+        d = int.from_bytes(buf[i:i + w], "little") + carry
+        carry = d >= half
+        out.append(sign * (d - base if carry else d))
     return out
+
+
+def _kron_pack(v: list[int], w: int) -> int:
+    """sum v[i] * 256^(w*i), built from the byte strings of the positive
+    and the negative coefficients, so packing stays linear in size."""
+    zero = bytes(w)
+    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in v)
+    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in v)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _int_div_exact(num: list[int], den: list[int]) -> list[int]:

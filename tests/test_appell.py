@@ -7,9 +7,9 @@ import pytest
 
 from qappell.qarith import QPoly, QRat, QRAT_Q, q_integer
 from qappell.qseries import Series
-from qappell.appell import (AppellFamily, DegreeRangeError, XPoly,
-                            difference_residual, lowering_residual,
-                            recurrence_residual,
+from qappell.appell import (AppellFamily, DegreeRangeError, XPoly, _sum,
+                            difference_form, difference_residual,
+                            lowering_residual, recurrence_residual,
                             verify_difference_range, verify_lowering_range,
                             verify_recurrence_range)
 from qappell.families import FamilyKind, make_family
@@ -294,3 +294,49 @@ def test_xpoly_basics():
     assert p.evaluate(Fraction(1), Fraction(3)) == 7
     assert (p - p).is_zero()
     assert p.times_x().coefficient(0).is_zero()
+
+
+def _random_xpoly(rng: random.Random) -> XPoly:
+    return XPoly([QRat(QPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]),
+                       rng.choice((QPoly(1), Q2, Q3, QPoly((0, 1)))))
+                  for _ in range(rng.randint(0, 5))])
+
+
+def _sequential_sum(terms) -> XPoly:
+    total = XPoly.zero()
+    for c, p in terms:
+        total = total + p.scale(c)
+    return total
+
+
+def test_sum_matches_sequential_scale_and_add():
+    rng = random.Random(41)
+
+    def coefficient() -> QRat:
+        return rng.choice((QRat(0), QRat(rng.randint(-4, 4)),
+                           QRat(QPoly((1, rng.randint(-2, 2))), Q3),
+                           QRat(1, QPoly((0, 0, 1)))))
+
+    for _ in range(40):
+        terms = [(coefficient(), _random_xpoly(rng)) for _ in range(rng.randint(0, 7))]
+        assert _sum(terms) == _sequential_sum(terms)
+        # The same list with every term negated cancels completely.
+        cancelling = terms + [(-c, p) for c, p in terms]
+        rng.shuffle(cancelling)
+        assert _sum(cancelling).coeffs == ()
+    assert _sum([]).coeffs == ()
+    assert _sum([(QRat(0), XPoly((1, 2)))]).coeffs == ()
+
+
+def test_difference_form_takes_weights_above_n():
+    """D^k of a degree-n polynomial vanishes for k > n, so a weight there
+    adds nothing; the derivative chain must still reach it."""
+    fam = make_family(FamilyKind.HERMITE, 8)
+    at_qx, at_x = QRat(Q2), QRat.q_power(1)
+    base = difference_form(fam, 1, at_qx, at_x, [(0, QRat(5))])
+    for k in (2, 3, 6):
+        assert difference_form(fam, 1, at_qx, at_x, [(0, QRat(5)), (k, QRat(7))]) == base
+    h1 = fam.polynomial(1)
+    assert base == _sequential_sum([(at_qx, h1.scale_x(QRAT_Q)),
+                                    (at_x, h1.q_derivative().times_x()),
+                                    (QRat(5), h1)])

@@ -1,19 +1,31 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qappell import render
-from qappell.cli import main
+from qappell.cli import MAX_N, MAX_ORDER, build_parser, main
 from qappell.families import FamilyKind, make_family
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m qappell`` in a child process that imports this checkout."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-m", "qappell", *map(str, argv)],
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def test_numbers_json_bernoulli(capsys):
@@ -156,14 +168,37 @@ def test_verify_printed_claims_at_max_n_1_are_inapplicable(capsys, scope):
 
 @pytest.mark.parametrize("scope", ["h1", "all"])
 def test_verify_empty_hard_range_is_a_usage_error(scope):
-    proc = subprocess.run(
-        [sys.executable, "-m", "qappell", "verify", "--scope", scope,
-         "--max-n", "1", "--order", "4"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_module("verify", "--scope", scope, "--max-n", "1", "--order", "4")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: h1")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag, limit", [
+    (["numbers", "--family", "euler", "--max-n", MAX_N + 1], "--max-n", MAX_N),
+    (["alpha", "--family", "euler", "--max-n", MAX_N + 1], "--max-n", MAX_N),
+    (["poly", "--family", "euler", "--n", MAX_N + 1], "--n", MAX_N),
+    (["verify", "--scope", "a1", "--max-n", MAX_N + 1], "--max-n", MAX_N),
+    (["numbers", "--family", "euler", "--max-n", 2, "--order", MAX_ORDER + 1],
+     "--order", MAX_ORDER),
+    (["verify", "--scope", "h0", "--max-n", 2, "--order", MAX_ORDER + 1],
+     "--order", MAX_ORDER),
+])
+def test_inputs_above_the_limits_are_usage_errors(argv, flag, limit):
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {flag} must be <= {limit}\n"
+
+
+def test_inputs_at_the_limits_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "numbers", "--family", "hermite",
+                           "--max-n", str(MAX_N), "--order", str(MAX_ORDER))
+    assert code == 0 and len(json.loads(out)["numbers"]) == MAX_N + 1
+    helptext = build_parser().format_help()
+    assert f"--order <= {MAX_ORDER}" in helptext
+    assert f"--max-n, --n <= {MAX_N}" in helptext
 
 
 def test_verify_checks_degree_ranges_before_building_families(capsys):
@@ -212,9 +247,7 @@ def test_rendering_is_deterministic(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qappell", "numbers", "--family", "euler",
-         "--max-n", "1", "--format", "csv"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_module("numbers", "--family", "euler", "--max-n", "1",
+                      "--format", "csv")
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["n,value", "0,1", "1,-1/2"]

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qappell.qarith import (FracAcc, P_ONE, P_ZERO, PoleError, QPoly, QRat,
-                            q_binomial, q_double_factorial_even, q_factorial,
-                            q_integer, qpoly_gcd)
+                            _int_mul, q_binomial, q_double_factorial_even,
+                            q_factorial, q_integer, qpoly_gcd)
 
 
 def test_q_integer_examples():
@@ -88,6 +88,41 @@ def test_qpoly_mul_matches_schoolbook():
             for j, cb in enumerate(b.coeffs):
                 out[i + j] += ca * cb
         assert a * b == QPoly(out)
+
+
+def _schoolbook(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def test_int_mul_kronecker_matches_schoolbook():
+    """Operands above the schoolbook threshold (na * nb > 256), with
+    negative leading coefficients, runs of zeros and coefficient widths
+    from 1 to 2000 bits mixed in one operand."""
+    rng = random.Random(31)
+
+    def operand(n: int) -> list[int]:
+        v = []
+        while len(v) < n:
+            if rng.random() < 0.2:
+                v.extend([0] * rng.randint(1, 9))
+            else:
+                bits = rng.choice((1, 7, 8, 9, 63, 64, 65, 300, 2000))
+                v.append(rng.choice((-1, 1)) * rng.randint(1, 1 << bits))
+        return v[:n]
+
+    cases = [([-1] * 20, [-1] * 20), ([1] + [0] * 30 + [-5], [-(1 << 2000)] * 17)]
+    for _ in range(60):
+        a, b = operand(rng.randint(17, 70)), operand(rng.randint(17, 70))
+        if rng.random() < 0.5:
+            a[-1] = -abs(a[-1]) or -1
+        cases.append((a, b))
+    for a, b in cases:
+        assert len(a) * len(b) > 256
+        assert _int_mul(a, b) == _schoolbook(a, b)
 
 
 def test_qrat_normalize_examples():
