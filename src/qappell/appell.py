@@ -35,8 +35,8 @@ over a common denominator and canonicalized once.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .qarith import (FracAcc, QPoly, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO,
                      q_binomial, q_factorial, q_integer)
@@ -353,8 +353,7 @@ class DegreeRangeError(ValueError):
     a range with no degree in it."""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of a symbolic identity check over a degree range."""
 
     theorem_id: str

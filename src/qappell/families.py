@@ -26,10 +26,10 @@ are the ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .qarith import (P_ONE, QPoly, QRat, QRAT_ONE, QRAT_ZERO, q_binomial,
                      q_integer)
@@ -75,7 +75,7 @@ def _hermite_number(n: int, _) -> QRat:
     if n % 2:
         return QRAT_ZERO
     m = n // 2
-    num = QPoly((0,) * (m * (m - 1)) + _odd_q_factorial(m).coeffs)
+    num = QPoly.q_power(m * (m - 1)) * _odd_q_factorial(m)
     return QRat.from_poly(-num if m % 2 else num)
 
 
@@ -123,8 +123,7 @@ def classical_limit(kind: FamilyKind, n: int) -> list[Fraction]:
     return fam.polynomial(n).evaluate_q(1)
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """Descriptive status of a printed claim: confirmed means the residual
     vanished identically for every degree checked; refuted records the
     smallest failing degree and its residual."""

@@ -1,23 +1,26 @@
 """Exact arithmetic kernel: polynomials in q over the rationals and
 canonical-form rational functions in q.
 
-Scalars are arbitrary-precision ``fractions.Fraction`` values, and q stays
-symbolic everywhere in the core; a numeric q enters only through the
-``evaluate`` methods.  All values are immutable after construction and
-hashable, so they can be shared and sent between threads freely.
+A polynomial in Q[q] is stored as Python ints over one positive int
+denominator, the integer part and rational content of von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 6 (see ``QPoly``).  Every
+operation runs on the stored integers: multiplication packs the operands
+into single big integers (Kronecker substitution), and exact division
+and gcd (a modular image verified by exact division, else primitive-PRS
+Euclid) stay in Z.  Sums of many rational functions go through
+``FracAcc``, which defers the canonicalizing gcd to one call per result.
 
-The heavy operations run over cleared integer coefficient lists:
-multiplication packs the operands into single big integers (Kronecker
-substitution), exact division and gcd (primitive-PRS Euclid) stay in Z
-throughout, and sums of many rational functions go through ``FracAcc``,
-which defers the canonicalizing gcd to one call per result.
+q stays symbolic everywhere in the core; a numeric q enters only through
+the ``evaluate`` methods, which return ``fractions.Fraction`` values.
+All values are immutable after construction and hashable, so they can
+be shared and sent between threads freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 
 class PoleError(ZeroDivisionError):
@@ -25,7 +28,6 @@ class PoleError(ZeroDivisionError):
 
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _as_fraction(c) -> Fraction:
@@ -40,31 +42,6 @@ def _as_fraction(c) -> Fraction:
 # Integer-coefficient helpers
 
 
-def _int_coeffs(coeffs) -> tuple[list[int], int]:
-    """Rescale Fraction coefficients to integers: returns (ints, L) with
-    ints[i] == coeffs[i] * L exactly."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if d != 1:
-            den = den * d // _int_gcd(den, d)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [int(c * den) for c in coeffs], den
-
-
-def _content(v: list[int]) -> int:
-    """Positive gcd of the entries (0 for the empty list), early-exiting
-    once it collapses to 1."""
-    g = 0
-    for c in v:
-        if c:
-            g = _int_gcd(g, c)
-            if g == 1:
-                return 1
-    return g
-
-
 def _primitive(v: list[int]) -> list[int]:
     """Strip trailing zeros, divide by the content, make the leading
     coefficient positive."""
@@ -72,7 +49,7 @@ def _primitive(v: list[int]) -> list[int]:
         v.pop()
     if not v:
         return v
-    g = _content(v)
+    g = _int_gcd(*v)
     if v[-1] < 0:
         g = -g
     if g != 1:
@@ -270,20 +247,25 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
 class QPoly:
     """Dense polynomial in q over Q, coefficients in ascending powers.
 
-    Canonical form: no trailing zero coefficients.  The zero polynomial
-    stores an empty tuple and reports degree -1.
+    Stored as ints c_0 .. c_n over one int L > 0, for sum c_i q^i / L.
+    Canonical form: no trailing zero and gcd(c_0, ..., c_n, L) = 1, so
+    equality and hashing are structural.  The zero polynomial is the
+    empty tuple over 1 and reports degree -1.  ``coeffs`` builds the
+    rational coefficients c_i / L on each read.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("_ints", "_den", "_hash")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._hash = None
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+        den = _int_lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        self._ints, self._den, self._hash = p._ints, p._den, None
 
     @classmethod
     def constant(cls, c) -> QPoly:
@@ -294,54 +276,60 @@ class QPoly:
         """The monomial q**k (k >= 0)."""
         if k < 0:
             raise ValueError("q_power needs k >= 0; use QRat.q_power for negative k")
-        return cls((0,) * k + (1,))
+        return _poly([0] * k + [1])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._ints)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def is_one(self) -> bool:
-        return self.coeffs == (_F1,)
+        return self._ints == (1,) and self._den == 1
 
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else _F0
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else _F0
+        return Fraction(self._ints[-1], self._den) if self._ints else _F0
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = QPoly(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._ints == other._ints
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.coeffs)
+            self._hash = hash((self._ints, self._den))
         return self._hash
 
     def __neg__(self) -> QPoly:
-        return QPoly([-c for c in self.coeffs])
+        return _poly([-c for c in self._ints], self._den)
 
     def __add__(self, other) -> QPoly:
         if isinstance(other, (int, Fraction)):
             other = QPoly(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self._ints, other._ints, self._den
+        if den != other._den:
+            g = _int_gcd(den, other._den)
+            a = [c * (other._den // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * other._den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return _poly(out, den)
 
     __radd__ = __add__
 
@@ -357,18 +345,12 @@ class QPoly:
 
     def __mul__(self, other) -> QPoly:
         if isinstance(other, (int, Fraction)):
-            return self.scale(_as_fraction(other))
+            return self.scale(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self._ints or not other._ints:
             return P_ZERO
-        ia, la = _int_coeffs(self.coeffs)
-        ib, lb = _int_coeffs(other.coeffs)
-        out = _int_mul(ia, ib)
-        scale = la * lb
-        if scale == 1:
-            return QPoly(out)
-        return QPoly([Fraction(c, scale) for c in out])
+        return _poly(_int_mul(self._ints, other._ints), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -386,17 +368,22 @@ class QPoly:
 
     def scale(self, c) -> QPoly:
         c = _as_fraction(c)
-        if not c:
+        return self._times(c.numerator, c.denominator)
+
+    def _times(self, num: int, den: int) -> QPoly:
+        """self * num / den, for a nonzero den."""
+        if not num:
             return P_ZERO
-        return QPoly([a * c for a in self.coeffs])
+        return _poly([c * num for c in self._ints], self._den * den)
 
     def evaluate(self, q0) -> Fraction:
-        """Exact value at a rational q0 (Horner)."""
+        """Exact value at a rational q0: Horner over the stored integers,
+        divided by the denominator once at the end."""
         q0 = _as_fraction(q0)
         acc = _F0
-        for c in reversed(self.coeffs):
+        for c in reversed(self._ints):
             acc = acc * q0 + c
-        return acc
+        return acc if self._den == 1 else acc / self._den
 
     def div_exact(self, d: QPoly) -> QPoly:
         """Quotient self / d, required to be exact in Q[q].
@@ -408,23 +395,20 @@ class QPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return P_ZERO
-        if d.degree == 0:
-            return self.scale(1 / d.coeffs[0])
-        ia, la = _int_coeffs(self.coeffs)
-        ib, lb = _int_coeffs(d.coeffs)
-        cb = _content(ib)
+        # With d = content * primitive, the quotient by the primitive
+        # part is integral (Gauss's lemma); the contents meet in one
+        # rational factor.
+        ib = d._ints
+        cb = _int_gcd(*ib)
         if ib[-1] < 0:
             cb = -cb
         if cb != 1:
             ib = [c // cb for c in ib]
-        quot = _int_div_exact(ia, ib)
-        scale = la * cb
-        if lb == scale:
-            return QPoly(quot)
-        return QPoly([Fraction(c * lb, scale) for c in quot])
+        quot = _int_div_exact(self._ints, ib)
+        return _poly([c * d._den for c in quot], self._den * cb)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._ints:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -446,6 +430,24 @@ class QPoly:
         return f"QPoly({self})"
 
 
+def _poly(ints: list[int], den: int = 1) -> QPoly:
+    """The canonical QPoly sum ints[i] q^i / den, for a nonzero den."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if den < 0:
+        ints, den = [-c for c in ints], -den
+    if den != 1:
+        g = _int_gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    p = object.__new__(QPoly)
+    p._ints = tuple(ints)
+    p._den = den
+    p._hash = None
+    return p
+
+
 P_ZERO = QPoly()
 P_ONE = QPoly(1)
 P_Q = QPoly((0, 1))
@@ -453,18 +455,20 @@ P_Q = QPoly((0, 1))
 
 def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """gcd in Q[q], returned with primitive integer coefficients and a
-    positive leading coefficient (the zero polynomial only for gcd(0, 0))."""
-    if a.is_zero():
-        if b.is_zero():
-            return P_ZERO
-        return QPoly(_primitive(_int_coeffs(b.coeffs)[0]))
-    if b.is_zero():
-        return QPoly(_primitive(_int_coeffs(a.coeffs)[0]))
-    if a.degree == 0 or b.degree == 0:
-        return P_ONE
-    ia = _primitive(_int_coeffs(a.coeffs)[0])
-    ib = _primitive(_int_coeffs(b.coeffs)[0])
-    return QPoly(_int_poly_gcd(ia, ib))
+    positive leading coefficient (the zero polynomial only for gcd(0, 0)).
+
+    Each input's power of q is split off first, since
+    gcd(q^i f, q^j g) = q^min(i, j) gcd(f, g) for f, g prime to q, and
+    the modular gcd slows down sharply on inputs of high q-adic
+    valuation.
+    """
+    ia, ib = a._ints, b._ints
+    if not ia or not ib:
+        return _poly(_primitive(list(ia or ib)))
+    va = next(i for i, c in enumerate(ia) if c)
+    vb = next(i for i, c in enumerate(ib) if c)
+    g = _int_poly_gcd(_primitive(list(ia[va:])), _primitive(list(ib[vb:])))
+    return _poly([0] * min(va, vb) + g)
 
 
 @lru_cache(maxsize=None)
@@ -685,20 +689,21 @@ class QRat:
 
 
 def _needs_parens(p: QPoly) -> bool:
-    nonzero = [c for c in p.coeffs if c]
-    if len(nonzero) > 1:
-        return True
-    return bool(nonzero) and nonzero[0].denominator != 1
+    nonzero = [c for c in p._ints if c]
+    return len(nonzero) > 1 or (bool(nonzero) and p._den != 1)
+
+
+def _monic_pair(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+    """Rescale a num/den pair by one constant so the denominator is monic."""
+    lead, scale = den._ints[-1], den._den
+    if lead == scale:
+        return num, den
+    return num._times(scale, lead), _poly(list(den._ints), lead)
 
 
 def _monic(num: QPoly, den: QPoly) -> QRat:
     """Rescale an already-reduced num/den pair to a monic denominator."""
-    lead = den.leading()
-    if lead != 1:
-        inv = 1 / lead
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return QRat(num, den, _canonical=True)
+    return QRat(*_monic_pair(num, den), _canonical=True)
 
 
 def _normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
@@ -710,12 +715,7 @@ def _normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
     if g.degree > 0:
         num = num.div_exact(g)
         den = den.div_exact(g)
-    lead = den.leading()
-    if lead != 1:
-        inv = 1 / lead
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+    return _monic_pair(num, den)
 
 
 QRAT_ZERO = QRat(0)

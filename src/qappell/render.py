@@ -31,10 +31,6 @@ def fraction_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def qpoly_to_json(p: QPoly) -> list[str]:
     return [fraction_to_str(c) for c in p.coeffs]
 

@@ -1,6 +1,7 @@
 """Property tests: the QRat canonical form under every operation that
-builds one, divided-power round trips, and sympy as an optional third
-oracle for gcd and cancellation.
+builds one, the integer-primitive QPoly and QRat against plain Fraction
+reference arithmetic, divided-power round trips, and sympy as an
+optional third oracle for gcd and cancellation.
 
 Inputs are built from the factors the families actually produce, q^k
 and cyclotomic polynomials Phi_d(q) (products of which give [n]_q), so
@@ -8,6 +9,7 @@ numerators and denominators share factors and the gcd has work to do.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,8 +18,8 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from qappell.appell import AppellFamily, divided_power_series  # noqa: E402
 from qappell.families import FamilyKind, make_family  # noqa: E402
-from qappell.qarith import (FracAcc, P_ONE, QPoly, QRat,  # noqa: E402
-                            q_integer, qpoly_gcd)
+from qappell.qarith import (FracAcc, P_ONE, PoleError, QPoly,  # noqa: E402
+                            QRat, q_integer, qpoly_gcd)
 from qappell.qseries import Series  # noqa: E402
 
 _FACTORS = (
@@ -96,6 +98,158 @@ def test_frac_acc_value_is_canonical(terms):
     r = acc.value()
     _assert_canonical(r)
     assert r == expected
+
+
+# Plain Fraction reference arithmetic on ascending coefficient lists with
+# no trailing zero; it shares nothing with the package's integer kernels.
+
+def _trim(v) -> list:
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+def _ref_add(a, b, sign=1) -> list:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim(Fraction(x) + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b) -> list:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b) -> tuple[list, list]:
+    """Long division over Q by a nonzero b."""
+    r = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = r[-1] / b[-1]
+        quot[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r = _trim(r)
+    return _trim(quot), r
+
+
+def _ref_gcd(a, b) -> list:
+    """Monic gcd by Euclid over Q (empty for gcd(0, 0))."""
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def _ref_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+_REF_FACTORS = ((0, 1), (-1, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1),
+                (1, 1, 1, 1), (1, 1, 1, 1, 1, 1))
+_mixed = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def _ref_poly(draw, nonzero=False):
+    """Fraction coefficients: a rational constant times shared q^k and
+    cyclotomic factors times a small polynomial of mixed denominators."""
+    p = [draw(_mixed.filter(bool) if nonzero else _mixed)]
+    for f in draw(st.lists(st.sampled_from(_REF_FACTORS), max_size=4)):
+        p = _ref_mul(p, f)
+    rest = draw(st.lists(_mixed, min_size=1, max_size=4))
+    if any(rest) or not nonzero:
+        p = _ref_mul(p, rest)
+    return _trim(p)
+
+
+def _assert_canonical_poly(p: QPoly) -> None:
+    """Python ints over one positive int, no trailing zero, and no common
+    factor of the integers and the denominator; the rational coefficients
+    read back to the same value."""
+    ints, den = p._ints, p._den
+    assert all(type(c) is int for c in ints) and type(den) is int
+    assert den > 0 and (not ints or ints[-1])
+    assert gcd(den, *ints) == 1
+    assert QPoly(p.coeffs) == p and hash(QPoly(p.coeffs)) == hash(p)
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(a=_ref_poly(), b=_ref_poly(), q0=_mixed)
+def test_qpoly_matches_fraction_reference(a, b, q0):
+    pa, pb = QPoly(a), QPoly(b)
+    for ours, ref in ((pa, a), (pb, b), (pa + pb, _ref_add(a, b)),
+                      (pa - pb, _ref_add(a, b, -1)), (pa * pb, _ref_mul(a, b))):
+        _assert_canonical_poly(ours)
+        assert list(ours.coeffs) == ref
+        assert ours.evaluate(q0) == _ref_eval(ref, q0)
+    if b:
+        quot = (pa * pb).div_exact(pb)
+        _assert_canonical_poly(quot)
+        assert list(quot.coeffs) == _ref_divmod(_ref_mul(a, b), b)[0] == a
+        ref_quot, ref_rem = _ref_divmod(a, b)
+        if ref_rem:
+            with pytest.raises(ArithmeticError):
+                pa.div_exact(pb)
+        else:
+            assert list(pa.div_exact(pb).coeffs) == ref_quot
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(common=_ref_poly(nonzero=True), x=_ref_poly(), y=_ref_poly())
+def test_qpoly_gcd_matches_fraction_reference(common, x, y):
+    a, b = _ref_mul(common, x), _ref_mul(common, y)
+    g = qpoly_gcd(QPoly(a), QPoly(b))
+    _assert_canonical_poly(g)
+    if not a and not b:
+        assert g.is_zero()
+        return
+    # primitive integer coefficients with a positive leading one
+    assert g._den == 1 and gcd(*g._ints) == 1 and g._ints[-1] > 0
+    assert [c / g.leading() for c in g.coeffs] == _ref_gcd(a, b)
+
+
+@hyp.settings(max_examples=80, deadline=None)
+@hyp.given(num=_ref_poly(), den=_ref_poly(nonzero=True),
+           num2=_ref_poly(), den2=_ref_poly(nonzero=True), q0=_mixed)
+def test_qrat_matches_fraction_reference(num, den, num2, den2, q0):
+    r, s = QRat(QPoly(num), QPoly(den)), QRat(QPoly(num2), QPoly(den2))
+    cases = [(r, num, den), (s, num2, den2),
+             (r + s, _ref_add(_ref_mul(num, den2), _ref_mul(num2, den)),
+              _ref_mul(den, den2)),
+             (r - s, _ref_add(_ref_mul(num, den2), _ref_mul(num2, den), -1),
+              _ref_mul(den, den2)),
+             (r * s, _ref_mul(num, num2), _ref_mul(den, den2))]
+    if num2:
+        cases.append((r / s, _ref_mul(num, den2), _ref_mul(den, num2)))
+    for ours, ref_num, ref_den in cases:
+        _assert_canonical_poly(ours.num)
+        _assert_canonical_poly(ours.den)
+        assert ours.den.leading() == 1
+        assert (_ref_mul(list(ours.num.coeffs), ref_den)
+                == _ref_mul(ref_num, list(ours.den.coeffs)))
+        at = _ref_eval(ref_den, q0)
+        if at:
+            assert ours.evaluate(q0) == _ref_eval(ref_num, q0) / at
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(num=_ref_poly(nonzero=True), den=_ref_poly(nonzero=True),
+           root=_mixed)
+def test_pole_error_at_a_root_of_the_denominator(num, den, root):
+    hyp.assume(_ref_eval(num, root))
+    r = QRat(QPoly(num), QPoly(_ref_mul(den, [-root, 1])))
+    with pytest.raises(PoleError):
+        r.evaluate(root)
 
 
 @hyp.settings(max_examples=20, deadline=None)

@@ -212,6 +212,29 @@ def test_qpoly_gcd_products():
     assert g.degree >= q_integer(6).degree
 
 
+def test_qpoly_gcd_splits_off_the_power_of_q():
+    """gcd(q^a f, q^b g) = q^min(a, b) gcd(f, g) for f, g prime to q."""
+    f = q_integer(6) * q_integer(4) * QPoly((3, 0, 5))
+    g = q_integer(4) * q_integer(9) * QPoly((3, 0, 5))
+    base = qpoly_gcd(f, g)
+    assert base == q_integer(4) * q_integer(3) * QPoly((3, 0, 5))
+    for a, b in ((0, 0), (0, 3), (5, 2), (7, 7), (40, 1)):
+        got = qpoly_gcd(QPoly.q_power(a) * f, QPoly.q_power(b) * g)
+        assert got == QPoly.q_power(min(a, b)) * base, (a, b)
+    assert qpoly_gcd(QPoly.q_power(4), QPoly.q_power(9) * f) == QPoly.q_power(4)
+    assert qpoly_gcd(QPoly.q_power(3) * f, P_ZERO) == QPoly.q_power(3) * f
+
+
+def test_qrat_with_a_high_power_of_q_canonicalizes():
+    # q^552 [1]_q [3]_q ... [47]_q / [48]_q! = q^552 / ([2]_q [4]_q ... [48]_q)
+    odd = P_ONE
+    for k in range(1, 48, 2):
+        odd = odd * q_integer(k)
+    r = QRat(QPoly.q_power(552) * odd, q_factorial(48))
+    assert r.num == QPoly.q_power(552)
+    assert r.den == q_double_factorial_even(24)
+
+
 def test_qpoly_str_and_qrat_str():
     assert str(QPoly((1, 2, 2, 1))) == "1 + 2*q + 2*q^2 + q^3"
     assert str(QRat(QPoly(-1), QPoly((1, 1)))) == "-1/(1 + q)"
