@@ -256,16 +256,12 @@ class QPoly:
 
     __slots__ = ("_ints", "_den", "_hash")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+        cs = [_as_fraction(c) for c in coeffs]
         den = _int_lcm(*(c.denominator for c in cs))
-        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
-        self._ints, self._den, self._hash = p._ints, p._den, None
+        return _poly([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def constant(cls, c) -> QPoly:

@@ -1,18 +1,17 @@
 """Record a parent-versus-change benchmark comparison as one JSON file.
 
   python3 tools/bench_record.py --parent DIR --out BENCH_N.json
-      [--pairs 10] [--first-seed 101]
 
 DIR is the root of a source checkout of the parent commit (a
 ``git archive`` of it will do); the change is this checkout.  For every
 workload in ``BENCHMARK.json`` the script runs
 ``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds`` once
-per seed in each tree, alternating which tree runs first, and keeps the
-final JSON line of every run.  It then runs verify-all at ``--trace 1``
-once per tree.  The file also records the seeds, the pair count,
-``platform.platform()`` and ``sys.version``, and per end-to-end metric
-the median and quartiles of each side and the number of pairs the
-change won.  Standard library only; run it on an otherwise idle machine.
+per seed (101 to 110, ten pairs) in each tree, alternating which tree
+runs first, and keeps the final JSON line of every run.  It then runs
+verify-all at ``--trace 1`` once per tree.  The file also records the
+seeds, the pair count, ``platform.platform()`` and ``sys.version``, and
+per end-to-end metric the median and quartiles of each side and the
+number of pairs the change won.  Standard library only; run it on an otherwise idle machine.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_WORKLOAD = "verify-all"
+PAIRS = 10
+FIRST_SEED = 101
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -53,8 +54,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         entry = {"unit": metric["unit"], "better": better[name],
                  "change_wins": wins, "pairs": len(pairs)}
         for side, values in sides.items():
-            q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                         else (values[0],) * 3)
+            q1, _, q3 = statistics.quantiles(values, n=4)
             entry[side] = {"median": statistics.median(values),
                            "q1": q1, "q3": q3}
         out[name] = entry
@@ -67,21 +67,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/bench_record.py")
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=101)
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": ROOT}
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
 
     result = {
         "platform": platform.platform(),
         "python": sys.version,
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds} --trace 0|1",
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "seeds": seeds,
         "order": "parent first on even pair indices, change first on odd",
         "workloads": {},
