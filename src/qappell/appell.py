@@ -38,9 +38,11 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .qarith import (FracAcc, QPoly, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO,
-                     q_binomial, q_factorial, q_integer)
+from .qarith import FracAcc, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO
 from .qseries import Series
+
+# The factored q-constants: q^e, [n]_q, [n]_q! and [n k]_q.
+_qp, _qi, _qf, _qb = QRat.q_power, QRat.q_integer, QRat.q_factorial, QRat.q_binomial
 
 
 def _as_qrat(c) -> QRat:
@@ -138,7 +140,7 @@ class XPoly:
         out = []
         for n in range(1, len(self.coeffs)):
             a = self.coeffs[n]
-            out.append(a if a.is_zero() else a * QRat.from_poly(q_integer(n)))
+            out.append(a * _qi(n))
         return XPoly(out)
 
     def q_derivatives(self, upto: int) -> list[XPoly]:
@@ -206,22 +208,19 @@ def signed_terms(p: XPoly, term) -> str:
 
 
 def solve_step(rhs: QRat, terms, pivot: QRat) -> QRat:
-    """One row of a triangular solve: (rhs - sum of terms) / pivot.
-
-    Each term is an unreduced (num, den) pair of QPolys; the sum goes
-    through one FracAcc, so the row pays a single canonicalizing gcd.
-    """
+    """One row of a triangular solve: (rhs - sum of a*b over the (a, b)
+    pairs of terms) / pivot.  The products go through one FracAcc
+    unreduced, so the row is canonicalized once."""
     acc = FracAcc()
     acc.add(rhs)
-    for num, den in terms:
-        acc.add_raw(-num, den)
-    return QRat(acc.num * pivot.den, acc.den * pivot.num)
+    for a, b in terms:
+        acc.sub_product(a, b)
+    return acc.value() / pivot
 
 
 def divided_power_series(values) -> Series:
     """The series sum A_n t^n / [n]_q! of divided-power values A_n."""
-    return Series([a if a.is_zero() else QRat(a.num, a.den * q_factorial(n))
-                   for n, a in enumerate(values)])
+    return Series([a / _qf(n) for n, a in enumerate(values)])
 
 
 class AppellFamily:
@@ -252,9 +251,7 @@ class AppellFamily:
                 "generator vanishes to order >= 2 at t = 0; the alpha "
                 "quotient does not determine a power series")
         coeffs = generator.coeffs
-        self._start(name, generator.order, lambda n, _: (
-            coeffs[n] if coeffs[n].is_zero()
-            else coeffs[n] * QRat.from_poly(q_factorial(n))))
+        self._start(name, generator.order, lambda n, _: coeffs[n] * _qf(n))
         self._generator = generator
 
     @classmethod
@@ -310,9 +307,7 @@ class AppellFamily:
                 coeffs = []
                 for k in range(n, -1, -1):
                     # coefficient of x^(n-k)
-                    a = nums[k]
-                    coeffs.append(a if a.is_zero()
-                                  else a * QRat.from_poly(q_binomial(n, k)))
+                    coeffs.append(nums[k] * _qb(n, k))
                 cached = XPoly(coeffs)
                 self._polys[n] = cached
             return cached
@@ -341,11 +336,10 @@ class AppellFamily:
         # The caller holds the lock and has alpha_0 .. alpha_{n-1}.
         m = n + 1 if self.shifted else n
         nums = self._numbers_upto(m)
-        terms = ((q_binomial(m, k) * QPoly.q_power(m - k) * a.num * nums[m - k].num,
-                  a.den * nums[m - k].den)
+        terms = ((_qb(m, k) * _qp(m - k) * a, nums[m - k])
                  for k, a in enumerate(self._alphas) if a and nums[m - k])
-        pivot = nums[m - n] * QRat.from_poly(q_binomial(m, n) * QPoly.q_power(m - n))
-        return solve_step(nums[m] * QRat.from_poly(q_integer(m)), terms, pivot)
+        pivot = nums[m - n] * _qb(m, n) * _qp(m - n)
+        return solve_step(nums[m] * _qi(m), terms, pivot)
 
 
 class DegreeRangeError(ValueError):
@@ -379,26 +373,9 @@ def make_report(theorem_id: str, family: str, n_range: tuple[int, int],
                               first is None, first)
 
 
-def _qp(e: int) -> QRat:
-    return QRat.q_power(e)
-
-
-def _qb(n: int, k: int) -> QRat:
-    return QRat.from_poly(q_binomial(n, k))
-
-
-def _qi(n: int) -> QRat:
-    return QRat.from_poly(q_integer(n))
-
-
-def _qf(k: int) -> QRat:
-    return QRat.from_poly(q_factorial(k))
-
-
 def _sum(terms) -> XPoly:
     """sum c*p over (QRat, XPoly) pairs.  Each x-power goes through one
-    FracAcc, so it pays a single canonicalizing gcd however many terms
-    reach it."""
+    FracAcc, so it is canonicalized once however many terms reach it."""
     accs: list[FracAcc] = []
     for c, p in terms:
         if c.is_zero():
@@ -456,7 +433,7 @@ def difference_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
 
 def _lowering_term(fam: AppellFamily, n: int, k: int, dk: XPoly) -> XPoly:
     """A_{n-k} - ([n-k]_q!/[n]_q!) dk, where dk = D^k A_n."""
-    return fam.polynomial(n - k) - dk.scale(QRat(q_factorial(n - k), q_factorial(n)))
+    return fam.polynomial(n - k) - dk.scale(_qf(n - k) / _qf(n))
 
 
 def lowering_residual(fam: AppellFamily, n: int, k: int) -> XPoly:

@@ -26,11 +26,11 @@ MAX_N = 32
 _LIMITS = f"""\
 limits: --order <= {MAX_ORDER}; --max-n, --n <= {MAX_N}.  Wall time of one run
 (Python 3.11, 2-vCPU x86-64 VM):
-  numbers, alpha, poly at n <= 24, any family       <= 2.7 s
-  alpha --family bernoulli --max-n 31                8.6 s
-  verify --scope all --max-n 12 | 16 | 20 | 24       5 s | 21 s | 53 s | 144 s
-  verify --scope all --max-n 32                      728 s
-  verify --scope h0 --max-n 4 --order 140 | 200      3.2 s | 17 s
+  numbers, alpha, poly at n <= 24, any family       <= 0.5 s
+  alpha --family bernoulli --max-n 31                1.1 s
+  verify --scope all --max-n 12 | 16 | 20 | 24       0.7 s | 1.7 s | 4.2 s | 11 s
+  verify --scope all --max-n 32                      43 s
+  verify --scope h0 --max-n 4 --order 140 | 200      0.13 s | 0.14 s
 """
 
 _FAMILY_SYMBOLS = {"bernoulli": "B", "euler": "E", "genocchi": "G", "hermite": "H"}

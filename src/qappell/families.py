@@ -31,8 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qarith import (P_ONE, QPoly, QRat, QRAT_ONE, QRAT_ZERO, q_binomial,
-                     q_integer)
+from .qarith import QRat, QRAT_ONE, QRAT_ZERO
 from .qseries import Series
 from .appell import (AppellFamily, XPoly, _qb, _qf, _qi, _qp,
                      difference_form, divided_power_series, recurrence_form,
@@ -48,9 +47,8 @@ class FamilyKind(str, Enum):
 
 def _row(prefix, m: int, base: int = 1):
     """The terms [m k]_q base^(m-k) x_k over a known prefix x_0 .. x_{n-1},
-    as unreduced (num, den) pairs for ``solve_step``."""
-    return ((q_binomial(m, k) * base ** (m - k) * x.num, x.den)
-            for k, x in enumerate(prefix) if x)
+    as (coefficient, x_k) pairs for ``solve_step``."""
+    return ((_qb(m, k) * base ** (m - k), x) for k, x in enumerate(prefix) if x)
 
 
 def _bernoulli_number(n: int, b) -> QRat:
@@ -64,19 +62,13 @@ def _euler_numbers_solve(first: int):
     return lambda n, a: solve_step(QRat(2 * (n == first)), _row(a, n), QRat(2))
 
 
-@lru_cache(maxsize=None)
-def _odd_q_factorial(m: int) -> QPoly:
-    """[1]_q [3]_q ... [2m-1]_q, which is [2m]_q! / [2m]_q!!."""
-    return P_ONE if m == 0 else _odd_q_factorial(m - 1) * q_integer(2 * m - 1)
-
-
 def _hermite_number(n: int, _) -> QRat:
     # [2m]_q! (-1)^m q^(m(m-1)) / [2m]_q!!; odd numbers vanish.
     if n % 2:
         return QRAT_ZERO
     m = n // 2
-    num = QPoly.q_power(m * (m - 1)) * _odd_q_factorial(m)
-    return QRat.from_poly(-num if m % 2 else num)
+    h = _qp(m * (m - 1)) * _qf(n) / QRat.q_double_factorial_even(m)
+    return -h if m % 2 else h
 
 
 _NUMBERS = {

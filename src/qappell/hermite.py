@@ -15,8 +15,7 @@ report.
 
 from __future__ import annotations
 
-from .qarith import (QPoly, QRat, QRAT_ONE, QRAT_ZERO, q_double_factorial_even,
-                     q_factorial)
+from .qarith import QRat, QRAT_ONE, QRAT_ZERO
 from .appell import (AppellFamily, VerificationReport, XPoly, _qf, _qi, _qp,
                      difference_form, make_report, recurrence_form)
 from .families import (DiscrepancyReport, FamilyKind,
@@ -32,11 +31,8 @@ def hermite_family(order: int = _DEFAULT_ORDER) -> AppellFamily:
 def _bare_series_sum(n: int) -> XPoly:
     coeffs = [QRAT_ZERO] * (n + 1)
     for k in range(n // 2 + 1):
-        num = QPoly.q_power(k * (k - 1))
-        if k % 2:
-            num = -num
-        den = q_double_factorial_even(k) * q_factorial(n - 2 * k)
-        coeffs[n - 2 * k] = QRat(num, den)
+        c = _qp(k * (k - 1)) / (QRat.q_double_factorial_even(k) * _qf(n - 2 * k))
+        coeffs[n - 2 * k] = -c if k % 2 else c
     return XPoly(coeffs)
 
 

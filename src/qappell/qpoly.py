@@ -1,0 +1,451 @@
+"""Polynomials in q over the rationals.
+
+A polynomial in Q[q] is stored as Python ints over one positive int
+denominator, the integer part and rational content of von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 6 (see ``QPoly``).  Every
+operation runs on the stored integers: multiplication packs the operands
+into single big integers (Kronecker substitution), and exact division
+and gcd (a modular image verified by exact division, else primitive-PRS
+Euclid) stay in Z.  The rational functions built on top live in
+:mod:`qappell.qarith`, which re-exports ``QPoly`` and ``qpoly_gcd``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd as _int_gcd, lcm as _int_lcm
+
+
+_F0 = Fraction(0)
+
+
+def _as_fraction(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Integer-coefficient helpers
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """Strip trailing zeros, divide by the content, make the leading
+    coefficient positive."""
+    while v and not v[-1]:
+        v.pop()
+    if not v:
+        return v
+    g = _int_gcd(*v)
+    if v[-1] < 0:
+        g = -g
+    if g != 1:
+        v = [c // g for c in v]
+    return v
+
+
+def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
+    """Convolution over Z.  Large products go through Kronecker
+    substitution so the work happens in one big-integer multiply."""
+    na, nb = len(ia), len(ib)
+    if na == 0 or nb == 0:
+        return []
+    if na == 1:
+        c = ia[0]
+        return [c * x for x in ib]
+    if nb == 1:
+        c = ib[0]
+        return [c * x for x in ia]
+    if na * nb <= 256:
+        out = [0] * (na + nb - 1)
+        for i, ca in enumerate(ia):
+            if ca:
+                for j, cb in enumerate(ib):
+                    if cb:
+                        out[i + j] += ca * cb
+        return out
+    ma = max(max(ia), -min(ia))
+    mb = max(max(ib), -min(ib))
+    if ma == 0 or mb == 0:
+        return [0] * (na + nb - 1)
+    # Slots of w bytes hold every product coefficient as a balanced digit.
+    bits = ma.bit_length() + mb.bit_length() + min(na, nb).bit_length() + 2
+    w = (bits + 7) // 8
+    n = na + nb - 1
+    prod = _kron_pack(ia, w) * _kron_pack(ib, w)
+    sign = -1 if prod < 0 else 1
+    buf = abs(prod).to_bytes(n * w, "little")
+    base = 1 << (8 * w)
+    half = base >> 1
+    out = []
+    carry = 0
+    for i in range(0, n * w, w):
+        d = int.from_bytes(buf[i:i + w], "little") + carry
+        carry = d >= half
+        out.append(sign * (d - base if carry else d))
+    return out
+
+
+def _kron_pack(v: list[int], w: int) -> int:
+    """sum v[i] * 256^(w*i), built from the byte strings of the positive
+    and the negative coefficients, so packing stays linear in size."""
+    zero = bytes(w)
+    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in v)
+    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in v)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _int_div_exact(num: list[int], den: list[int]) -> list[int]:
+    """Exact synthetic division over Z by a primitive divisor; raises
+    ArithmeticError if the division is not exact."""
+    dd = len(den) - 1
+    lead = den[-1]
+    dq = len(num) - 1 - dd
+    if dq < 0:
+        raise ArithmeticError("inexact polynomial division")
+    rem = list(num)
+    out = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        top = rem[dd + k]
+        if top:
+            if top % lead:
+                raise ArithmeticError("inexact polynomial division")
+            c = top // lead
+            out[k] = c
+            for i in range(dd):
+                rem[i + k] -= c * den[i]
+    if any(rem[:dd]):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
+    """Pseudo-remainder of u by v over Z (deg u >= deg v >= 1).
+
+    The lc(v) scaling is skipped whenever it is a no-op, which keeps
+    coefficient growth minimal for the mostly-monic inputs here.
+    """
+    n = len(v) - 1
+    lv = v[-1]
+    r = list(u)
+    while len(r) - 1 >= n:
+        k = len(r) - 1 - n
+        c = r.pop()
+        if lv == 1 or lv == -1:
+            if c:
+                cc = c if lv == 1 else -c
+                for i in range(k, k + n):
+                    r[i] -= cc * v[i - k]
+        else:
+            for i in range(len(r)):
+                ri = lv * r[i]
+                if k <= i:
+                    ri -= c * v[i - k]
+                r[i] = ri
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _rem_modp(u: list[int], v: list[int], p: int) -> list[int]:
+    """Remainder of u by v over GF(p) (deg v >= 1)."""
+    dv = len(v) - 1
+    inv = pow(v[-1], p - 2, p)
+    vm = [c * inv % p for c in v[:dv]]
+    r = list(u)
+    while len(r) > dv:
+        c = r.pop()
+        if c:
+            k = len(r) - dv
+            for i in range(dv):
+                r[k + i] = (r[k + i] - c * vm[i]) % p
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _gcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of the mod-p images (leading coefficients nonzero mod p)."""
+    fa = [c % p for c in a]
+    fb = [c % p for c in b]
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    while fb:
+        fa, fb = fb, _rem_modp(fa, fb, p)
+    inv = pow(fa[-1], p - 2, p)
+    return [c * inv % p for c in fa]
+
+
+def _divides(d: list[int], f: list[int]) -> bool:
+    try:
+        _int_div_exact(f, d)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of primitive integer polynomials.
+
+    A single-prime modular image settles the common cases: a constant
+    image proves the gcd is 1, and a reconstructed candidate verified by
+    exact division in both inputs is the gcd (any common divisor divides
+    the gcd, and the image bounds its degree from above).  Unlucky
+    primes or oversized coefficients fall back to the primitive PRS.
+    """
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    p = _GCD_PRIME
+    if a[-1] % p and b[-1] % p:
+        image = _gcd_modp(a, b, p)
+        if len(image) == 1:
+            return [1]
+        gamma = _int_gcd(a[-1], b[-1])
+        half = p >> 1
+        cand = []
+        for c in image:
+            c = c * gamma % p
+            cand.append(c - p if c > half else c)
+        cand = _primitive(cand)
+        if cand and _divides(cand, a) and _divides(cand, b):
+            return cand
+    while True:
+        r = _primitive(_pseudo_rem(a, b))
+        if not r:
+            return b
+        if len(r) == 1:
+            return [1]
+        a, b = b, r
+
+
+# ---------------------------------------------------------------------------
+# Polynomials in q
+
+
+class QPoly:
+    """Dense polynomial in q over Q, coefficients in ascending powers.
+
+    Stored as ints c_0 .. c_n over one int L > 0, for sum c_i q^i / L.
+    Canonical form: no trailing zero and gcd(c_0, ..., c_n, L) = 1, so
+    equality and hashing are structural.  The zero polynomial is the
+    empty tuple over 1 and reports degree -1.  ``coeffs`` builds the
+    rational coefficients c_i / L on each read.
+    """
+
+    __slots__ = ("_ints", "_den", "_hash")
+
+    def __new__(cls, coeffs=()):
+        if isinstance(coeffs, (int, Fraction)):
+            coeffs = (coeffs,)
+        cs = [_as_fraction(c) for c in coeffs]
+        den = _int_lcm(*(c.denominator for c in cs))
+        return _poly([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def q_power(cls, k: int) -> QPoly:
+        """The monomial q**k (k >= 0)."""
+        if k < 0:
+            raise ValueError("q_power needs k >= 0; use QRat.q_power for negative k")
+        return _poly([0] * k + [1])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._ints)
+
+    @property
+    def degree(self) -> int:
+        return len(self._ints) - 1
+
+    def is_zero(self) -> bool:
+        return not self._ints
+
+    def is_one(self) -> bool:
+        return self._ints == (1,) and self._den == 1
+
+    def leading(self) -> Fraction:
+        return Fraction(self._ints[-1], self._den) if self._ints else _F0
+
+    def __bool__(self) -> bool:
+        return bool(self._ints)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = QPoly(other)
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        return self._den == other._den and self._ints == other._ints
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._ints, self._den))
+        return self._hash
+
+    def __neg__(self) -> QPoly:
+        return _poly([-c for c in self._ints], self._den)
+
+    def __add__(self, other) -> QPoly:
+        if isinstance(other, (int, Fraction)):
+            other = QPoly(other)
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        a, b, den = self._ints, other._ints, self._den
+        if den != other._den:
+            g = _int_gcd(den, other._den)
+            a = [c * (other._den // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * other._den
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _poly(out, den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> QPoly:
+        if isinstance(other, (int, Fraction)):
+            other = QPoly(other)
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> QPoly:
+        return QPoly(other) - self
+
+    def __mul__(self, other) -> QPoly:
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        if not self._ints or not other._ints:
+            return P_ZERO
+        return _poly(_int_mul(self._ints, other._ints), self._den * other._den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> QPoly:
+        if e < 0:
+            raise ValueError("negative power of a QPoly; use QRat")
+        result = P_ONE
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def scale(self, c) -> QPoly:
+        c = _as_fraction(c)
+        return self._times(c.numerator, c.denominator)
+
+    def _times(self, num: int, den: int) -> QPoly:
+        """self * num / den, for a nonzero den."""
+        if not num:
+            return P_ZERO
+        return _poly([c * num for c in self._ints], self._den * den)
+
+    def evaluate(self, q0) -> Fraction:
+        """Exact value at a rational q0: Horner over the stored integers,
+        divided by the denominator once at the end."""
+        q0 = _as_fraction(q0)
+        acc = _F0
+        for c in reversed(self._ints):
+            acc = acc * q0 + c
+        return acc if self._den == 1 else acc / self._den
+
+    def div_exact(self, d: QPoly) -> QPoly:
+        """Quotient self / d, required to be exact in Q[q].
+
+        Raises ArithmeticError on a nonzero remainder; that always
+        indicates an arithmetic bug upstream, never bad user input.
+        """
+        if d.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero():
+            return P_ZERO
+        # With d = content * primitive, the quotient by the primitive
+        # part is integral (Gauss's lemma); the contents meet in one
+        # rational factor.
+        ib = d._ints
+        cb = _int_gcd(*ib)
+        if ib[-1] < 0:
+            cb = -cb
+        if cb != 1:
+            ib = [c // cb for c in ib]
+        quot = _int_div_exact(self._ints, ib)
+        return _poly([c * d._den for c in quot], self._den * cb)
+
+    def __str__(self) -> str:
+        if not self._ints:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
+            else:
+                var = "q" if k == 1 else f"q^{k}"
+                body = var if mag == 1 else f"{mag}*{var}"
+            if not parts:
+                parts.append(f"-{body}" if c < 0 else body)
+            else:
+                parts.append(f" - {body}" if c < 0 else f" + {body}")
+        return "".join(parts)
+
+    def __repr__(self) -> str:
+        return f"QPoly({self})"
+
+
+def _poly(ints: list[int], den: int = 1) -> QPoly:
+    """The canonical QPoly sum ints[i] q^i / den, for a nonzero den."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if den < 0:
+        ints, den = [-c for c in ints], -den
+    if den != 1:
+        g = _int_gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    p = object.__new__(QPoly)
+    p._ints = tuple(ints)
+    p._den = den
+    p._hash = None
+    return p
+
+
+P_ZERO = QPoly()
+P_ONE = QPoly(1)
+
+
+def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """gcd in Q[q], returned with primitive integer coefficients and a
+    positive leading coefficient (the zero polynomial only for gcd(0, 0)).
+
+    Each input's power of q is split off first, since
+    gcd(q^i f, q^j g) = q^min(i, j) gcd(f, g) for f, g prime to q, and
+    the modular gcd slows down sharply on inputs of high q-adic
+    valuation.
+    """
+    ia, ib = a._ints, b._ints
+    if not ia or not ib:
+        return _poly(_primitive(list(ia or ib)))
+    va = next(i for i, c in enumerate(ia) if c)
+    vb = next(i for i, c in enumerate(ib) if c)
+    g = _int_poly_gcd(_primitive(list(ia[va:])), _primitive(list(ib[vb:])))
+    return _poly([0] * min(va, vb) + g)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qarith import (FracAcc, P_ONE, QPoly, QRat, QRAT_ONE, QRAT_Q,
-                     QRAT_ZERO, q_factorial, q_integer)
+from .qarith import FracAcc, QPoly, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO
 
 
 class OrderMismatchError(ValueError):
@@ -186,7 +185,7 @@ class Series:
         out = []
         for n in range(1, self.order + 1):
             a = self.coeffs[n]
-            out.append(a if a.is_zero() else a * QRat.from_poly(q_integer(n)))
+            out.append(a * QRat.q_integer(n))
         return Series(out)
 
     def times_t(self) -> Series:
@@ -209,8 +208,7 @@ def eq_exponential(order: int) -> Series:
     """The q-exponential e_q(t) = sum t^n / [n]_q! truncated at `order`."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return Series([QRat(P_ONE, q_factorial(n), _canonical=True)
-                   for n in range(order + 1)])
+    return Series([QRat.q_factorial(n).reciprocal() for n in range(order + 1)])
 
 
 def scale_arg_q(s: Series) -> Series:

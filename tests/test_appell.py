@@ -340,3 +340,21 @@ def test_difference_form_takes_weights_above_n():
     assert base == _sequential_sum([(at_qx, h1.scale_x(QRAT_Q)),
                                     (at_x, h1.q_derivative().times_x()),
                                     (QRat(5), h1)])
+
+
+def test_non_cyclotomic_generator_passes_the_general_identities():
+    """A generator whose coefficient denominators have the factors 1 + 2q
+    and q^2 + q + 2, which no exponent map covers: its numbers take the
+    generic path, mixed with the factored q-constants, and the theorems
+    about every q-Appell family still hold."""
+    order = 7
+    coeffs = [QRat(1), QRat(QPoly((0, 1)), QPoly((1, 2))),
+              QRat(1, QPoly((2, 1, 1))), QRat(QPoly((3, 0, 1)), QPoly((1, 2)) * Q3)]
+    coeffs += [QRat(QPoly((1, -1, k))) for k in range(order + 1 - len(coeffs))]
+    fam = AppellFamily("non-cyclotomic", Series(coeffs))
+    assert fam.numbers(1)[1]._m is None
+    assert fam.numbers(3)[3].den.coeffs[0] == Fraction(1, 2)
+    for report in (verify_recurrence_range(fam, 1, order - 1),
+                   verify_difference_range(fam, 1, order - 1),
+                   verify_lowering_range(fam, order)):
+        assert report.passed, report.theorem_id

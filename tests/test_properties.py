@@ -297,3 +297,148 @@ def test_sympy_agrees_on_gcd_and_cancellation(a, b):
                                       _sympy_expr(sympy, q, y)), q)
         monic = [Fraction(c.p, c.q) for c in reversed(theirs.monic().all_coeffs())]
         assert QPoly(monic).scale(ours.leading()) == ours
+
+
+# The factored and the generic QRat paths against each other.  A value is
+# built by exponent arithmetic from q^a, [k]_q, [k]_q! and [n k]_q, or by
+# QRat(num, den) over a denominator with the non-cyclotomic factor 1 + 2q
+# or q^2 + q + 2, or as the product of one of each; its reference is a
+# plain Fraction (num, den) pair built from _ref_* lists alongside.
+
+_NON_CYCLOTOMIC = ((1, 2), (2, 1, 1))
+
+
+def _ref_q_factorial(k: int) -> list:
+    out = [Fraction(1)]
+    for j in range(1, k + 1):
+        out = _ref_mul(out, [1] * j)
+    return out
+
+
+def _ref_q_constant(kind: str, n: int, k: int) -> list:
+    if kind == "power":
+        return [0] * n + [1]
+    if kind == "integer":
+        return [1] * n
+    if kind == "factorial":
+        return _ref_q_factorial(n)
+    quot, rem = _ref_divmod(_ref_q_factorial(n),
+                            _ref_mul(_ref_q_factorial(k), _ref_q_factorial(n - k)))
+    assert not rem
+    return quot
+
+
+def _q_constant(kind: str, n: int, k: int) -> QRat:
+    if kind == "power":
+        return QRat.q_power(n)
+    if kind == "integer":
+        return QRat.q_integer(n)
+    if kind == "factorial":
+        return QRat.q_factorial(n)
+    return QRat.q_binomial(n, k)
+
+
+@st.composite
+def _factored_value(draw, max_n=6):
+    num = draw(_ref_poly())
+    value, ref = QRat(QPoly(num)), [num, [1]]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("power", "integer", "factorial", "binomial")))
+        n = draw(st.integers(1, max_n))
+        k = draw(st.integers(0, n))
+        factor, ref_factor = _q_constant(kind, n, k), _ref_q_constant(kind, n, k)
+        if draw(st.booleans()):
+            value, ref = value * factor, [_ref_mul(ref[0], ref_factor), ref[1]]
+        else:
+            value, ref = value / factor, [ref[0], _ref_mul(ref[1], ref_factor)]
+    assert value._m is not None
+    return value, ref[0], ref[1]
+
+
+@st.composite
+def _generic_value(draw):
+    num, den = draw(_ref_poly()), draw(_ref_poly(nonzero=True))
+    den = _ref_mul(den, draw(st.sampled_from(_NON_CYCLOTOMIC)))
+    value = QRat(QPoly(num), QPoly(den))
+    assert value.is_zero() or value._m is None
+    return value, num, den
+
+
+@st.composite
+def _mixed_value(draw, max_n=6):
+    a, num, den = draw(_factored_value(max_n))
+    b, num2, den2 = draw(_generic_value())
+    return a * b, _ref_mul(num, num2), _ref_mul(den, den2)
+
+
+_any_value = st.one_of(_factored_value(), _generic_value(), _mixed_value())
+_small_value = st.one_of(_factored_value(4), _generic_value(), _mixed_value(4))
+
+
+def _generic_twin(r: QRat) -> QRat:
+    """The same value, built from its expanded pair by QRat(num, den)."""
+    return QRat(r.num, r.den)
+
+
+def _check_value(ours: QRat, ref_num, ref_den, q0) -> None:
+    """ours is canonical and equals ref_num / ref_den, also at q0."""
+    num, den = list(ours.num.coeffs), list(ours.den.coeffs)
+    assert den and den[-1] == 1
+    if num:
+        assert _ref_gcd(num, den) == [1]
+    else:
+        assert den == [1]
+    assert _ref_mul(num, ref_den) == _ref_mul(ref_num, den)
+    at = _ref_eval(ref_den, q0)
+    if at:
+        assert ours.evaluate(q0) == _ref_eval(ref_num, q0) / at
+    twin = _generic_twin(ours)
+    assert twin == ours and ours == twin and hash(twin) == hash(ours)
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(a=_any_value, b=_any_value, q0=_mixed)
+def test_factored_and_generic_paths_agree(a, b, q0):
+    (ra, na, da), (rb, nb, db) = a, b
+    ta, tb = _generic_twin(ra), _generic_twin(rb)
+    cases = [
+        (ra, tb, na, da),
+        (ra + rb, ta + tb, _ref_add(_ref_mul(na, db), _ref_mul(nb, da)), _ref_mul(da, db)),
+        (ra - rb, ta - tb, _ref_add(_ref_mul(na, db), _ref_mul(nb, da), -1),
+         _ref_mul(da, db)),
+        (ra * rb, ta * tb, _ref_mul(na, nb), _ref_mul(da, db)),
+    ]
+    if nb:
+        cases.append((ra / rb, ta / tb, _ref_mul(na, db), _ref_mul(da, nb)))
+        cases.append((rb.reciprocal(), tb.reciprocal(), db, nb))
+    for ours, generic, ref_num, ref_den in cases[1:]:
+        _check_value(ours, ref_num, ref_den, q0)
+        assert ours == generic and hash(ours) == hash(generic)
+    _check_value(ra, na, da, q0)
+
+
+@hyp.settings(max_examples=40, deadline=None)
+@hyp.given(terms=st.lists(st.tuples(_small_value, _small_value), max_size=4),
+           q0=_mixed)
+def test_frac_acc_sums_agree_across_paths(terms, q0):
+    """add, sub, add_product and sub_product over factored, generic and
+    mixed terms, against the pairwise sum of generic twins and the
+    Fraction reference."""
+    acc = FracAcc()
+    expected = QRat(0)
+    ref_num, ref_den = [], [1]
+    for i, ((a, na, da), (b, nb, db)) in enumerate(terms):
+        sign = 1 if i % 2 else -1
+        if i % 4 < 2:
+            (acc.add if sign > 0 else acc.sub)(a)
+            expected = expected + sign * _generic_twin(a)
+            tn, td = na, da
+        else:
+            (acc.add_product if sign > 0 else acc.sub_product)(a, b)
+            expected = expected + sign * _generic_twin(a) * _generic_twin(b)
+            tn, td = _ref_mul(na, nb), _ref_mul(da, db)
+        ref_num = _ref_add(_ref_mul(ref_num, td), _ref_mul(tn, ref_den), sign)
+        ref_den = _ref_mul(ref_den, td)
+    total = acc.value()
+    _check_value(total, ref_num, ref_den, q0)
+    assert total == expected and hash(total) == hash(expected)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qappell import qarith
 from qappell.qarith import (FracAcc, P_ONE, P_ZERO, PoleError, QPoly, QRat,
                             _int_mul, q_binomial, q_double_factorial_even,
                             q_factorial, q_integer, qpoly_gcd)
@@ -240,3 +241,70 @@ def test_qpoly_str_and_qrat_str():
     assert str(QRat(QPoly(-1), QPoly((1, 1)))) == "-1/(1 + q)"
     assert str(QRat(QPoly((0, 1)))) == "q"
     assert str(QRat(QPoly(Fraction(-1, 2)), QPoly((0, 1)))) == "(-1/2)/q"
+
+
+def _divisor_products(n: int) -> QPoly:
+    p = P_ONE
+    for d in range(1, n + 1):
+        if n % d == 0:
+            p = p * QPoly(qarith._phi(d))
+    return p
+
+
+def test_cyclotomic_table_factors_q_power_minus_one():
+    # q^n - 1 = prod_{d | n} Phi_d(q), up to one past the --order limit
+    for n in range(1, 202):
+        assert _divisor_products(n) == QPoly.q_power(n) - 1, n
+    assert qarith._phi(0) == (0, 1)
+    assert qarith._phi(12) == (1, 0, -1, 0, 1)
+    assert qarith._phi(105)[7] == -2  # the first coefficient outside {-1, 0, 1}
+
+
+def test_factored_q_constants_expand_to_the_recursive_polynomials():
+    """The exponent maps of [n]_q, [n]_q!, [n k]_q, [2m]_q!! and
+    [1]_q [3]_q ... [2m-1]_q against the recursive definitions."""
+    top = 48
+    ints = [QPoly((1,) * n) for n in range(top + 1)]
+    fact = [P_ONE]
+    for n in range(1, top + 1):
+        fact.append(fact[-1] * ints[n])
+    pascal = [[P_ONE]]
+    for n in range(1, top + 1):
+        prev = pascal[-1] + [P_ZERO]
+        pascal.append([P_ONE] + [prev[k - 1] + QPoly.q_power(k) * prev[k]
+                                 for k in range(1, n + 1)])
+    even, odd = [P_ONE], [P_ONE]
+    for m in range(1, top // 2 + 1):
+        even.append(even[-1] * ints[2 * m])
+        odd.append(odd[-1] * ints[2 * m - 1])
+
+    def expands_to(r: QRat, p: QPoly) -> bool:
+        return r._m is not None and r.den == P_ONE and r.num == p
+
+    for n in range(top + 1):
+        assert expands_to(QRat.q_integer(n), ints[n]), n
+        assert expands_to(QRat.q_factorial(n), fact[n]), n
+        for k in range(n + 1):
+            assert expands_to(QRat.q_binomial(n, k), pascal[n][k]), (n, k)
+    for m in range(top // 2 + 1):
+        assert expands_to(QRat.q_double_factorial_even(m), even[m]), m
+        ratio = QRat.q_factorial(2 * m) / QRat.q_double_factorial_even(m)
+        assert expands_to(ratio, odd[m]), m
+    assert QRat.q_binomial(5, 6).is_zero() and QRat.q_binomial(5, -1).is_zero()
+    for make in (QRat.q_integer, QRat.q_factorial, QRat.q_double_factorial_even):
+        with pytest.raises(ValueError):
+            make(-1)
+
+
+def test_factored_and_generic_values_agree():
+    # [6]_q! / [4]_q! built by exponent arithmetic and by a gcd
+    factored = QRat.q_factorial(6) / QRat.q_factorial(4)
+    generic = QRat(q_factorial(6), q_factorial(4))
+    assert factored == generic and hash(factored) == hash(generic)
+    assert factored.num == q_integer(5) * q_integer(6) and factored.den == P_ONE
+    # a denominator with the non-cyclotomic factor 1 + 2q stays generic
+    mixed = QRat(q_integer(3), QPoly((1, 2)) * q_integer(4))
+    assert mixed._m is None
+    assert mixed * QRat.q_integer(4) == QRat(q_integer(3), QPoly((1, 2)))
+    monic = QPoly((Fraction(1, 2), 1)) * q_integer(4)
+    assert (mixed + QRat.q_integer(2).reciprocal()).den == monic
