@@ -9,7 +9,11 @@ an exponent map over q and the Phi_d, with an expanded numerator part
 (see ``QRat``).  Products add exponents, sums take the exponent-wise
 minimum as the common factor, and canonicalization is trial division of
 the numerator by each Phi_d of negative exponent, so none of them needs
-a polynomial gcd.  A denominator with any other factor, which only
+a polynomial gcd.  Expanding a Phi product, and summing the groups of a
+``FracAcc`` times their Phi cofactors, are each one big-integer
+computation at q = 256^w (Kronecker substitution, von zur Gathen &
+Gerhard section 8.4), unpacked once; the slot width w comes from a bound
+on every coefficient.  A denominator with any other factor, which only
 custom generators and user-built values produce, takes the generic
 path: the canonical pair reduced by ``qpoly_gcd`` (modular gcd, von zur
 Gathen & Gerhard ch. 6).  Sums of many rational functions go through
@@ -28,9 +32,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm as _int_lcm
 
 from .qpoly import (P_ONE, P_ZERO, QPoly, _as_fraction, _int_div_exact,
-                    _int_mul, _poly, qpoly_gcd)
+                    _kron_pack, _kron_unpack, _poly, qpoly_gcd)
 
 
 class PoleError(ZeroDivisionError):
@@ -70,16 +75,52 @@ def _phi_divides(ints, d: int) -> bool:
     return not any(r[:k])
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
+def _phi_norm(d: int) -> int:
+    """The sum of the absolute coefficients of Phi_d (of q for d = 0)."""
+    return sum(map(abs, _phi(d)))
+
+
+@lru_cache(maxsize=512)
+def _phi_at(d: int, w: int) -> int:
+    """Phi_d(256^w), d >= 1."""
+    return _kron_pack(_phi(d), w)
+
+
+def _size(cof) -> tuple[int, int]:
+    """For the product of Phi_d^e over the (d, e) pairs of cof: a bound
+    on every coefficient, since the sum of the absolute coefficients is
+    submultiplicative, and the number of coefficients."""
+    bound = slots = 1
+    for d, e in cof:
+        bound *= _phi_norm(d) ** e
+        slots += e * (len(_phi(d)) - 1)
+    return bound, slots
+
+
+def _packed(cof, w: int) -> int:
+    """The product over cof at q = 256^w, a q^e factor as a shift."""
+    vs = [_phi_at(d, w) ** e for d, e in cof if d] or [1]
+    # A balanced product tree keeps the big-integer multiplies even.
+    while len(vs) > 1:
+        vs = [vs[i] * vs[i + 1] if i + 1 < len(vs) else vs[i]
+              for i in range(0, len(vs), 2)]
+    return vs[0] << (8 * w * sum(e for d, e in cof if not d))
+
+
+def _width(bound: int) -> int:
+    """The slot width in bytes that holds every integer of absolute
+    value at most bound as a balanced digit: bound < 2^(8w-1)."""
+    return (bound.bit_length() + 8) // 8
+
+
+@lru_cache(maxsize=128)
 def _expand(key: tuple) -> QPoly:
-    """The product of Phi_d^e over the (d, e) pairs of key, all e > 0."""
-    shift = key[0][1] if key and key[0][0] == 0 else 0
-    factors = [_phi(d) for d, e in key if d for _ in range(e)] or [[1]]
-    # A balanced product tree keeps the Kronecker multiplies few and even.
-    while len(factors) > 1:
-        factors = [_int_mul(factors[i], factors[i + 1]) if i + 1 < len(factors)
-                   else factors[i] for i in range(0, len(factors), 2)]
-    return _poly([0] * shift + list(factors[0]))
+    """The product of Phi_d^e over the (d, e) pairs of key, all e > 0:
+    one big-integer product at q = 256^w, unpacked once."""
+    bound, slots = _size(key)
+    w = _width(bound)
+    return _poly(_kron_unpack(_packed(key, w), w, slots))
 
 
 def _part(m: dict, sign: int) -> QPoly:
@@ -482,10 +523,14 @@ class FracAcc:
 
     Factored terms are kept unreduced, summed per exponent map.
     ``value()`` brings the groups over the exponent-wise minimum of their
-    maps, with cached Phi products as cofactors and no gcd, and runs the
-    trial divisions that make the sum canonical once.  Generic terms are
-    summed apart by ``QRat.__add__``.  Used by the series and polynomial
-    inner loops, where per-term normalization would dominate the runtime.
+    maps and over the lcm of their integer denominators, with no gcd:
+    it evaluates every group times its Phi cofactor at one point
+    q = 256^w, adds the results as Python ints and unpacks the sum once,
+    then runs the trial divisions that make the sum canonical.  The slot
+    width w comes from a bound on every coefficient of the sum.  Generic
+    terms are summed apart by ``QRat.__add__``.  Used by the series and
+    polynomial inner loops, where per-term normalization would dominate
+    the runtime.
     """
 
     __slots__ = ("_groups", "_rest")
@@ -522,12 +567,28 @@ class FracAcc:
 
     def value(self) -> QRat:
         groups = [(dict(key), n) for key, n in self._groups.items() if n]
+        if not groups:
+            return self._rest
         keys = {d for m, _ in groups for d in m}
         c = {d: min(m.get(d, 0) for m, _ in groups) for d in keys}
-        n = P_ZERO
+        den = _int_lcm(*(n._den for _, n in groups))
+        # Each part times den/L and its cofactor over c, at q = 256^w: no
+        # coefficient of the sum exceeds the sum over the groups of
+        # max|part| (den/L) prod |Phi_d|_1^e, the bound the slots hold.
+        terms = []
+        bound = 0
+        slots = 1
         for m, part in groups:
-            cof = tuple(sorted((d, m.get(d, 0) - e) for d, e in c.items() if m.get(d, 0) > e))
-            n = n + (part * _expand(cof) if cof else part)
+            cof = [(d, m.get(d, 0) - e) for d, e in c.items() if m.get(d, 0) > e]
+            scale = den // part._den
+            cof_bound, cof_slots = _size(cof)
+            bound += max(map(abs, part._ints)) * scale * cof_bound
+            slots = max(slots, len(part._ints) - 1 + cof_slots)
+            terms.append((part._ints, scale, cof))
+        w = _width(bound)
+        v = sum(_kron_pack(ints, w) * scale * _packed(cof, w)
+                for ints, scale, cof in terms)
+        n = _poly(_kron_unpack(v, w, slots), den)
         if n.is_zero():
             return self._rest
         m = {d: e for d, e in c.items() if e}

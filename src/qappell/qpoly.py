@@ -73,10 +73,30 @@ def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
     # Slots of w bytes hold every product coefficient as a balanced digit.
     bits = ma.bit_length() + mb.bit_length() + min(na, nb).bit_length() + 2
     w = (bits + 7) // 8
-    n = na + nb - 1
-    prod = _kron_pack(ia, w) * _kron_pack(ib, w)
-    sign = -1 if prod < 0 else 1
-    buf = abs(prod).to_bytes(n * w, "little")
+    return _kron_unpack(_kron_pack(ia, w) * _kron_pack(ib, w), w, na + nb - 1)
+
+
+def _kron_pack(v: list[int], w: int) -> int:
+    """sum v[i] * 256^(w*i).  A short vector takes Horner's rule; a long
+    one is built from the byte strings of the positive and the negative
+    coefficients, so packing stays linear in size."""
+    if len(v) * w <= 256:
+        acc = 0
+        for c in reversed(v):
+            acc = (acc << (8 * w)) + c
+        return acc
+    zero = bytes(w)
+    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in v)
+    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in v)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kron_unpack(v: int, w: int, n: int) -> list[int]:
+    """The n coefficients c_i of v = sum c_i * 256^(w*i), each read as a
+    balanced digit, so |c_i| < 2^(8w-1) must hold: the inverse of
+    ``_kron_pack``."""
+    sign = -1 if v < 0 else 1
+    buf = abs(v).to_bytes(n * w, "little")
     base = 1 << (8 * w)
     half = base >> 1
     out = []
@@ -86,15 +106,6 @@ def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
         carry = d >= half
         out.append(sign * (d - base if carry else d))
     return out
-
-
-def _kron_pack(v: list[int], w: int) -> int:
-    """sum v[i] * 256^(w*i), built from the byte strings of the positive
-    and the negative coefficients, so packing stays linear in size."""
-    zero = bytes(w)
-    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in v)
-    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in v)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _int_div_exact(num: list[int], den: list[int]) -> list[int]:

@@ -6,8 +6,9 @@ import pytest
 
 from qappell import qarith
 from qappell.qarith import (FracAcc, P_ONE, P_ZERO, PoleError, QPoly, QRat,
-                            _int_mul, q_binomial, q_double_factorial_even,
-                            q_factorial, q_integer, qpoly_gcd)
+                            q_binomial, q_double_factorial_even, q_factorial,
+                            q_integer, qpoly_gcd)
+from qappell.qpoly import _int_mul, _kron_pack, _kron_unpack
 
 
 def test_q_integer_examples():
@@ -201,6 +202,111 @@ def test_frac_acc_matches_pairwise_sum():
             acc.add(t)
             expected = expected + t
         assert acc.value() == expected
+
+
+def test_kron_unpack_round_trips_at_the_slot_limit():
+    """Balanced digits of w bytes hold every |c| <= 2^(8w-1) - 1, with
+    either sign in any slot and a negative leading coefficient; the
+    slot width is the least that holds a bound."""
+    rng = random.Random(13)
+    for w in (1, 2, 3, 8, 33):
+        top = (1 << (8 * w - 1)) - 1
+        cases = [[top] * 5, [-top] * 5, [top, -top] * 3, [-top, top] * 3,
+                 [top, 0, -top, 0, 0], [0, 0, -top], [-1, top, -top, 1],
+                 [rng.randint(-top, top) for _ in range(40)] + [-top]]
+        for v in cases:
+            packed = _kron_pack(v, w)
+            assert packed == sum(c << (8 * w * i) for i, c in enumerate(v))
+            assert _kron_unpack(packed, w, len(v)) == v, (w, v)
+        assert qarith._width(top) == w
+        assert qarith._width(top + 1) == w + 1
+
+
+def _poly_add(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return [x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+
+
+def _check_packed_sum(terms, min_bits: int = 0) -> QRat:
+    """FracAcc over terms (m, coeffs), added as Phi^m coeffs by add_raw,
+    or (None, (num, den)), added as the QRat num/den, against a Fraction
+    reference built here from schoolbook products of the Phi_d lists."""
+    acc = FracAcc()
+    ref_num, ref_den = [Fraction(0)], [Fraction(1)]
+    for m, coeffs in terms:
+        if m is None:
+            num, den = ([Fraction(c) for c in p] for p in coeffs)
+            acc.add(QRat(QPoly(num), QPoly(den)))
+        else:
+            acc.add_raw(m, QPoly(coeffs))
+            num, den = [Fraction(c) for c in coeffs], [Fraction(1)]
+            for d, e in m.items():
+                for _ in range(abs(e)):
+                    if e > 0:
+                        num = _schoolbook(num, list(qarith._phi(d)))
+                    else:
+                        den = _schoolbook(den, list(qarith._phi(d)))
+        ref_num = _poly_add(_schoolbook(ref_num, den), _schoolbook(num, ref_den))
+        ref_den = _schoolbook(ref_den, den)
+    r = acc.value()
+    assert r.den.leading() == 1
+    assert qpoly_gcd(r.num, r.den) == P_ONE or (r.is_zero() and r.den == P_ONE)
+    assert (QPoly(_schoolbook(list(r.num.coeffs) or [0], ref_den))
+            == QPoly(_schoolbook(ref_num, list(r.den.coeffs))))
+    assert max(map(abs, r.num._ints), default=0).bit_length() >= min_bits
+    return r
+
+
+def test_frac_acc_packed_sums_match_a_fraction_reference():
+    F = Fraction
+    big = [(1 << 300) + 7, -(1 << 299), 5, 1 << 257]
+    # coefficients beyond 2^256, over three exponent maps
+    _check_packed_sum([({2: -3, 3: 1}, big),
+                       ({2: -1, 5: -2, 0: 1}, [-(1 << 280), 3, 0, 1 << 290]),
+                       ({}, [1, 1 << 256])], min_bits=257)
+    # a negative leading coefficient, and one from a big negative term
+    r = _check_packed_sum([({2: -1}, [1, 2, -5]), ({3: -1}, [0, -7])])
+    assert r.num._ints[-1] < 0
+    _check_packed_sum([({6: -1}, [3, -(1 << 400)]), ({4: -2, 0: 2}, [1 << 390])],
+                      min_bits=390)
+    # the top coefficients cancel: 1 - q^2 + (1 + q)(3 + q) = 4 + 4q
+    r = _check_packed_sum([({3: -1}, [1, 0, -1]), ({3: -1, 2: 1}, [3, 1])])
+    assert r == QRat(QPoly((4, 4)), QPoly((1, 1, 1)))
+    # the sum is exactly 0: Phi_2^2 / Phi_3 - (1 + q)^2 / Phi_3
+    zero = [({2: 1, 3: -1}, [1, 1]), ({3: -1}, [-1, -2, -1])]
+    assert _check_packed_sum(zero).is_zero()
+    generic = (None, ([1, 5], [1, 2]))
+    assert _check_packed_sum(zero + [generic]) == QRat(QPoly((1, 5)), QPoly((1, 2)))
+    # parts over different denominators L
+    _check_packed_sum([({2: -1}, [F(1, 3), F(2, 5)]),
+                       ({4: -1, 0: -1}, [F(-1, 7), 1, F(1, 6)]),
+                       ({}, [F(5, 9)]), ({2: -1, 3: 2}, [F(1 << 270, 11)])],
+                      min_bits=270)
+    # a cofactor that is only a power of q: q^-2 (1 + q) + q (3 - q)
+    r = _check_packed_sum([({0: -2}, [1, 1]), ({0: 1}, [3, -1])])
+    assert r == QRat(QPoly((1, 1, 0, 3, -1)), QPoly((0, 0, 1)))
+    # factored terms mixed with generic ones
+    _check_packed_sum([({2: -2, 0: 1}, [F(3, 2), -4]), generic,
+                       ({3: -1}, [1 << 300]), (None, ([0, 1], [2, 1, 1]))],
+                      min_bits=300)
+
+
+def test_expand_matches_a_schoolbook_product_of_the_phi_lists():
+    """Every key of [n]_q!, [n k]_q and [2m]_q!! for n <= 48, and one
+    with a power of q."""
+    keys = {((0, 3), (2, 1), (3, 2))}
+    for n in range(49):
+        keys.add(tuple(sorted(QRat.q_factorial(n)._m.items())))
+        keys.update(tuple(sorted(QRat.q_binomial(n, k)._m.items()))
+                    for k in range(n + 1))
+    keys.update(tuple(sorted(QRat.q_double_factorial_even(m)._m.items()))
+                for m in range(25))
+    for key in keys:
+        ref = [1]
+        for d, e in key:
+            for _ in range(e):
+                ref = _schoolbook(ref, list(qarith._phi(d)))
+        assert list(qarith._expand(key)._ints) == ref, key
 
 
 def test_qpoly_gcd_products():
