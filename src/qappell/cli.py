@@ -25,12 +25,12 @@ MAX_N = 32
 
 _LIMITS = f"""\
 limits: --order <= {MAX_ORDER}; --max-n, --n <= {MAX_N}.  Wall time of one run
-(Python 3.11, 2-vCPU x86-64 VM):
+(median of 5 runs, Python 3.11, 2-vCPU x86-64 VM):
   numbers, alpha, poly at n <= 24, any family       <= 0.25 s
-  alpha --family bernoulli --max-n 31                0.63 s
-  verify --scope all --max-n 12 | 16 | 20 | 24       0.4 s | 0.9 s | 2.0 s | 4.6 s
-  verify --scope all --max-n 32                      23 s
-  verify --scope h0 --max-n 4 --order 140 | 200      0.17 s | 0.17 s
+  alpha --family bernoulli --max-n 31                0.53 s
+  verify --scope all --max-n 12 | 16 | 20 | 24       0.5 s | 0.7 s | 2.1 s | 4.6 s
+  verify --scope all --max-n 32                      18 s
+  verify --scope h0 --max-n 4 --order 140 | 200      0.14 s | 0.13 s
 """
 
 _FAMILY_SYMBOLS = {"bernoulli": "B", "euler": "E", "genocchi": "G", "hermite": "H"}

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import lcm as _int_lcm
 
 from .qpoly import (P_ONE, P_ZERO, QPoly, _as_fraction, _int_div_exact,
-                    _kron_pack, _kron_unpack, _poly, qpoly_gcd)
+                    _kron_pack, _kron_unpack, _poly, _width, qpoly_gcd)
 
 
 class PoleError(ZeroDivisionError):
@@ -106,12 +106,6 @@ def _packed(cof, w: int) -> int:
         vs = [vs[i] * vs[i + 1] if i + 1 < len(vs) else vs[i]
               for i in range(0, len(vs), 2)]
     return vs[0] << (8 * w * sum(e for d, e in cof if not d))
-
-
-def _width(bound: int) -> int:
-    """The slot width in bytes that holds every integer of absolute
-    value at most bound as a balanced digit: bound < 2^(8w-1)."""
-    return (bound.bit_length() + 8) // 8
 
 
 @lru_cache(maxsize=128)
@@ -567,8 +561,6 @@ class FracAcc:
 
     def value(self) -> QRat:
         groups = [(dict(key), n) for key, n in self._groups.items() if n]
-        if not groups:
-            return self._rest
         keys = {d for m, _ in groups for d in m}
         c = {d: min(m.get(d, 0) for m, _ in groups) for d in keys}
         den = _int_lcm(*(n._den for _, n in groups))

@@ -71,20 +71,19 @@ def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
     if ma == 0 or mb == 0:
         return [0] * (na + nb - 1)
     # Slots of w bytes hold every product coefficient as a balanced digit.
-    bits = ma.bit_length() + mb.bit_length() + min(na, nb).bit_length() + 2
-    w = (bits + 7) // 8
+    w = _width(ma * mb * min(na, nb))
     return _kron_unpack(_kron_pack(ia, w) * _kron_pack(ib, w), w, na + nb - 1)
 
 
+def _width(bound: int) -> int:
+    """The slot width in bytes that holds every integer of absolute
+    value at most bound as a balanced digit: bound < 2^(8w-1)."""
+    return (bound.bit_length() + 8) // 8
+
+
 def _kron_pack(v: list[int], w: int) -> int:
-    """sum v[i] * 256^(w*i).  A short vector takes Horner's rule; a long
-    one is built from the byte strings of the positive and the negative
-    coefficients, so packing stays linear in size."""
-    if len(v) * w <= 256:
-        acc = 0
-        for c in reversed(v):
-            acc = (acc << (8 * w)) + c
-        return acc
+    """sum v[i] * 256^(w*i), built from the byte strings of the positive
+    and the negative coefficients, so packing stays linear in size."""
     zero = bytes(w)
     pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in v)
     neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in v)

@@ -8,7 +8,7 @@ from qappell import qarith
 from qappell.qarith import (FracAcc, P_ONE, P_ZERO, PoleError, QPoly, QRat,
                             q_binomial, q_double_factorial_even, q_factorial,
                             q_integer, qpoly_gcd)
-from qappell.qpoly import _int_mul, _kron_pack, _kron_unpack
+from qappell.qpoly import _int_mul, _kron_pack, _kron_unpack, _width
 
 
 def test_q_integer_examples():
@@ -218,8 +218,8 @@ def test_kron_unpack_round_trips_at_the_slot_limit():
             packed = _kron_pack(v, w)
             assert packed == sum(c << (8 * w * i) for i, c in enumerate(v))
             assert _kron_unpack(packed, w, len(v)) == v, (w, v)
-        assert qarith._width(top) == w
-        assert qarith._width(top + 1) == w + 1
+        assert _width(top) == w
+        assert _width(top + 1) == w + 1
 
 
 def _poly_add(a: list, b: list) -> list:
