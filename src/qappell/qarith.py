@@ -13,11 +13,12 @@ a polynomial gcd.  Expanding a Phi product, and summing the groups of a
 ``FracAcc`` times their Phi cofactors, are each one big-integer
 computation at q = 256^w (Kronecker substitution, von zur Gathen &
 Gerhard section 8.4), unpacked once; the slot width w comes from a bound
-on every coefficient.  A denominator with any other factor, which only
-custom generators and user-built values produce, takes the generic
-path: the canonical pair reduced by ``qpoly_gcd`` (modular gcd, von zur
-Gathen & Gerhard ch. 6).  Sums of many rational functions go through
-``FracAcc``, which canonicalizes once per result.
+on every coefficient, and each cofactor's bound and packed value are
+memoized.  A denominator with any other factor, which only custom
+generators and user-built values produce, takes the generic path: the
+canonical pair reduced by ``qpoly_gcd`` (modular gcd, von zur Gathen &
+Gerhard ch. 6).  Sums of many rational functions go through ``FracAcc``,
+which canonicalizes once per result.
 
 The polynomials themselves, ``QPoly`` and ``qpoly_gcd``, live in
 :mod:`qappell.qpoly` and are re-exported here.  q stays symbolic
@@ -75,46 +76,45 @@ def _phi_divides(ints, d: int) -> bool:
     return not any(r[:k])
 
 
-@lru_cache(maxsize=None)
-def _phi_norm(d: int) -> int:
-    """The sum of the absolute coefficients of Phi_d (of q for d = 0)."""
-    return sum(map(abs, _phi(d)))
-
-
 @lru_cache(maxsize=512)
 def _phi_at(d: int, w: int) -> int:
-    """Phi_d(256^w), d >= 1."""
+    """Phi_d(256^w), and 256^w for d = 0."""
     return _kron_pack(_phi(d), w)
 
 
-def _size(cof) -> tuple[int, int]:
-    """For the product of Phi_d^e over the (d, e) pairs of cof: a bound
-    on every coefficient, since the sum of the absolute coefficients is
+@lru_cache(maxsize=1024)
+def _size(cof: tuple) -> tuple[int, int]:
+    """For the product of Phi_d^e over cof = (d1, e1, d2, e2, ...), all
+    e > 0 (flat, to keep the memoized keys small): a bound on every
+    coefficient, since the sum of the absolute coefficients is
     submultiplicative, and the number of coefficients."""
     bound = slots = 1
-    for d, e in cof:
-        bound *= _phi_norm(d) ** e
+    for d, e in zip(cof[::2], cof[1::2]):
+        bound *= sum(map(abs, _phi(d))) ** e
         slots += e * (len(_phi(d)) - 1)
     return bound, slots
 
 
-def _packed(cof, w: int) -> int:
-    """The product over cof at q = 256^w, a q^e factor as a shift."""
-    vs = [_phi_at(d, w) ** e for d, e in cof if d] or [1]
+@lru_cache(maxsize=1024)
+def _packed(cof: tuple, w: int) -> int:
+    """The product over cof at q = 256^w."""
+    vs = [_phi_at(d, w) ** e for d, e in zip(cof[::2], cof[1::2])] or [1]
     # A balanced product tree keeps the big-integer multiplies even.
     while len(vs) > 1:
         vs = [vs[i] * vs[i + 1] if i + 1 < len(vs) else vs[i]
               for i in range(0, len(vs), 2)]
-    return vs[0] << (8 * w * sum(e for d, e in cof if not d))
+    return vs[0]
 
 
 @lru_cache(maxsize=128)
 def _expand(key: tuple) -> QPoly:
     """The product of Phi_d^e over the (d, e) pairs of key, all e > 0:
     one big-integer product at q = 256^w, unpacked once."""
+    key = tuple(x for pair in key for x in pair)
     bound, slots = _size(key)
     w = _width(bound)
-    return _poly(_kron_unpack(_packed(key, w), w, slots))
+    # _expand caches its own result, so the product skips _packed's cache.
+    return _poly(_kron_unpack(_packed.__wrapped__(key, w), w, slots))
 
 
 def _part(m: dict, sign: int) -> QPoly:
@@ -517,14 +517,14 @@ class FracAcc:
 
     Factored terms are kept unreduced, summed per exponent map.
     ``value()`` brings the groups over the exponent-wise minimum of their
-    maps and over the lcm of their integer denominators, with no gcd:
-    it evaluates every group times its Phi cofactor at one point
-    q = 256^w, adds the results as Python ints and unpacks the sum once,
-    then runs the trial divisions that make the sum canonical.  The slot
-    width w comes from a bound on every coefficient of the sum.  Generic
-    terms are summed apart by ``QRat.__add__``.  Used by the series and
-    polynomial inner loops, where per-term normalization would dominate
-    the runtime.
+    maps (one pass) and over the lcm of their integer denominators, with
+    no gcd: it evaluates every group times its Phi cofactor at one point
+    q = 256^w, adds the results as Python ints and unpacks a nonzero sum
+    once, then runs the trial divisions that make the sum canonical.  The
+    slot width w comes from a bound on every coefficient of the sum.
+    Generic terms are summed apart by ``QRat.__add__``.  Used by the
+    series and polynomial inner loops, where per-term normalization would
+    dominate the runtime.
     """
 
     __slots__ = ("_groups", "_rest")
@@ -560,18 +560,33 @@ class FracAcc:
         self.add_product(-a, b)
 
     def value(self) -> QRat:
-        groups = [(dict(key), n) for key, n in self._groups.items() if n]
-        keys = {d for m, _ in groups for d in m}
-        c = {d: min(m.get(d, 0) for m, _ in groups) for d in keys}
+        groups = [(key, n) for key, n in self._groups.items() if n._ints]
+        if not groups:
+            return self._rest
+        # The exponent-wise minimum c of the maps, in one pass over the
+        # keys; a Phi_d that some group lacks has exponent 0 there.
+        lo, seen = {}, {}
+        for key, _ in groups:
+            for d, e in key:
+                seen[d] = seen.get(d, 0) + 1
+                if d not in lo or e < lo[d]:
+                    lo[d] = e
+        c = {d: e for d, e in lo.items() if e < 0 or seen[d] == len(groups)}
+        lack = [(d, -e) for d, e in c.items() if e < 0 and seen[d] < len(groups)]
         den = _int_lcm(*(n._den for _, n in groups))
         # Each part times den/L and its cofactor over c, at q = 256^w: no
         # coefficient of the sum exceeds the sum over the groups of
         # max|part| (den/L) prod |Phi_d|_1^e, the bound the slots hold.
-        terms = []
-        bound = 0
-        slots = 1
-        for m, part in groups:
-            cof = [(d, m.get(d, 0) - e) for d, e in c.items() if m.get(d, 0) > e]
+        terms, bound, slots = [], 0, 1
+        for key, part in groups:
+            cof = []
+            for d, e in key:
+                if e > c.get(d, 0):
+                    cof += d, e - c.get(d, 0)
+            if lack:
+                have = dict(key)
+                cof += [x for d, e in lack if d not in have for x in (d, e)]
+            cof = tuple(cof)
             scale = den // part._den
             cof_bound, cof_slots = _size(cof)
             bound += max(map(abs, part._ints)) * scale * cof_bound
@@ -580,9 +595,9 @@ class FracAcc:
         w = _width(bound)
         v = sum(_kron_pack(ints, w) * scale * _packed(cof, w)
                 for ints, scale, cof in terms)
-        n = _poly(_kron_unpack(v, w, slots), den)
-        if n.is_zero():
+        if not v:
             return self._rest
-        m = {d: e for d, e in c.items() if e}
-        r = _factored(*_cancel(m, n, [d for d, e in m.items() if e < 0]))
+        n = _poly(_kron_unpack(v, w, slots), den)
+        # A fresh map, made after the temporaries, so it pins none of their memory.
+        r = _factored(*_cancel(dict(c), n, [d for d, e in c.items() if e < 0]))
         return r + self._rest if self._rest else r

@@ -6,12 +6,15 @@ Gerhard, *Modern Computer Algebra*, ch. 6 (see ``QPoly``).  Every
 operation runs on the stored integers: multiplication packs the operands
 into single big integers (Kronecker substitution), and exact division
 and gcd (a modular image verified by exact division, else primitive-PRS
-Euclid) stay in Z.  The rational functions built on top live in
+Euclid) stay in Z; Kronecker slots of 1, 2, 4 or 8 bytes convert
+through ``array`` in C.  The rational functions built on top live in
 :mod:`qappell.qarith`, which re-exports ``QPoly`` and ``qpoly_gcd``.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
@@ -47,8 +50,8 @@ def _primitive(v: list[int]) -> list[int]:
 
 
 def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
-    """Convolution over Z.  Large products go through Kronecker
-    substitution so the work happens in one big-integer multiply."""
+    """Convolution over Z.  A product of two non-scalar operands is one
+    big-integer multiply (Kronecker substitution)."""
     na, nb = len(ia), len(ib)
     if na == 0 or nb == 0:
         return []
@@ -58,53 +61,61 @@ def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
     if nb == 1:
         c = ib[0]
         return [c * x for x in ia]
-    if na * nb <= 256:
-        out = [0] * (na + nb - 1)
-        for i, ca in enumerate(ia):
-            if ca:
-                for j, cb in enumerate(ib):
-                    if cb:
-                        out[i + j] += ca * cb
-        return out
     ma = max(max(ia), -min(ia))
     mb = max(max(ib), -min(ib))
-    if ma == 0 or mb == 0:
-        return [0] * (na + nb - 1)
     # Slots of w bytes hold every product coefficient as a balanced digit.
     w = _width(ma * mb * min(na, nb))
     return _kron_unpack(_kron_pack(ia, w) * _kron_pack(ib, w), w, na + nb - 1)
 
 
+# Signed array typecodes by item size, for slots that convert in C.
+_CODES = {array(c).itemsize: c for c in "bhilq"}
+
+
 def _width(bound: int) -> int:
-    """The slot width in bytes that holds every integer of absolute
-    value at most bound as a balanced digit: bound < 2^(8w-1)."""
-    return (bound.bit_length() + 8) // 8
+    """A slot width in bytes that holds every integer of absolute value
+    at most bound as a balanced digit, bound < 2^(8w-1): the least such
+    w, rounded up to 1, 2, 4 or 8 bytes so that machine words carry it."""
+    w = (bound.bit_length() + 8) // 8
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
+def _top_bits(w: int, n: int) -> int:
+    """sum 2^(8w-1) * 256^(w*i) over i < n.  Both Kronecker kernels hold
+    c_i + 2^(8w-1) in slot i, the two's complement of c_i with its top
+    bit flipped, so the packed value and the slots differ by this."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
 def _kron_pack(v: list[int], w: int) -> int:
-    """sum v[i] * 256^(w*i), built from the byte strings of the positive
-    and the negative coefficients, so packing stays linear in size."""
-    zero = bytes(w)
-    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in v)
-    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in v)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum v[i] * 256^(w*i), for |v[i]| < 2^(8w-1): each v[i] is written
+    as a w-byte two's complement and the top bits corrected once, so
+    packing stays linear in size."""
+    if w in _CODES:
+        a = array(_CODES[w], v)
+        if sys.byteorder == "big":
+            a.byteswap()
+        buf = a.tobytes()
+    else:
+        buf = b"".join(c.to_bytes(w, "little", signed=True) for c in v)
+    top = _top_bits(w, len(v))
+    return (int.from_bytes(buf, "little") ^ top) - top
 
 
 def _kron_unpack(v: int, w: int, n: int) -> list[int]:
     """The n coefficients c_i of v = sum c_i * 256^(w*i), each read as a
-    balanced digit, so |c_i| < 2^(8w-1) must hold: the inverse of
-    ``_kron_pack``."""
-    sign = -1 if v < 0 else 1
-    buf = abs(v).to_bytes(n * w, "little")
-    base = 1 << (8 * w)
-    half = base >> 1
-    out = []
-    carry = 0
-    for i in range(0, n * w, w):
-        d = int.from_bytes(buf[i:i + w], "little") + carry
-        carry = d >= half
-        out.append(sign * (d - base if carry else d))
-    return out
+    balanced digit, so -2^(8w-1) <= c_i < 2^(8w-1) must hold: the
+    inverse of ``_kron_pack``."""
+    top = _top_bits(w, n)
+    buf = ((v + top) ^ top).to_bytes(n * w, "little")
+    if w in _CODES:
+        a = array(_CODES[w])
+        a.frombytes(buf)
+        if sys.byteorder == "big":
+            a.byteswap()
+        return a.tolist()
+    return [int.from_bytes(buf[i:i + w], "little", signed=True)
+            for i in range(0, n * w, w)]
 
 
 def _int_div_exact(num: list[int], den: list[int]) -> list[int]:

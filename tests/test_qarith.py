@@ -101,9 +101,9 @@ def _schoolbook(a: list[int], b: list[int]) -> list[int]:
 
 
 def test_int_mul_kronecker_matches_schoolbook():
-    """Operands above the schoolbook threshold (na * nb > 256), with
-    negative leading coefficients, runs of zeros and coefficient widths
-    from 1 to 2000 bits mixed in one operand."""
+    """Operands of 2 to 70 coefficients, with negative leading
+    coefficients, runs of zeros and coefficient widths from 1 to 2000
+    bits mixed in one operand."""
     rng = random.Random(31)
 
     def operand(n: int) -> list[int]:
@@ -118,12 +118,11 @@ def test_int_mul_kronecker_matches_schoolbook():
 
     cases = [([-1] * 20, [-1] * 20), ([1] + [0] * 30 + [-5], [-(1 << 2000)] * 17)]
     for _ in range(60):
-        a, b = operand(rng.randint(17, 70)), operand(rng.randint(17, 70))
+        a, b = operand(rng.randint(2, 70)), operand(rng.randint(2, 70))
         if rng.random() < 0.5:
             a[-1] = -abs(a[-1]) or -1
         cases.append((a, b))
     for a, b in cases:
-        assert len(a) * len(b) > 256
         assert _int_mul(a, b) == _schoolbook(a, b)
 
 
@@ -206,10 +205,14 @@ def test_frac_acc_matches_pairwise_sum():
 
 def test_kron_unpack_round_trips_at_the_slot_limit():
     """Balanced digits of w bytes hold every |c| <= 2^(8w-1) - 1, with
-    either sign in any slot and a negative leading coefficient; the
-    slot width is the least that holds a bound."""
+    either sign in any slot and a negative leading coefficient, in every
+    width class: 1, 2, 4 and 8 bytes (machine words) and 3, 9, 16 and 33
+    bytes (byte strings).  The slot width is the least that holds a
+    bound, rounded up to 1, 2, 4 or 8 bytes below 9."""
     rng = random.Random(13)
-    for w in (1, 2, 3, 8, 33):
+    widths = {1: (1, 2), 2: (2, 4), 3: (4, 4), 4: (4, 8), 8: (8, 9),
+              9: (9, 10), 16: (16, 17), 33: (33, 34)}
+    for w, (at_top, above_top) in widths.items():
         top = (1 << (8 * w - 1)) - 1
         cases = [[top] * 5, [-top] * 5, [top, -top] * 3, [-top, top] * 3,
                  [top, 0, -top, 0, 0], [0, 0, -top], [-1, top, -top, 1],
@@ -218,8 +221,8 @@ def test_kron_unpack_round_trips_at_the_slot_limit():
             packed = _kron_pack(v, w)
             assert packed == sum(c << (8 * w * i) for i, c in enumerate(v))
             assert _kron_unpack(packed, w, len(v)) == v, (w, v)
-        assert _width(top) == w
-        assert _width(top + 1) == w + 1
+        assert _width(top) == at_top
+        assert _width(top + 1) == above_top
 
 
 def _poly_add(a: list, b: list) -> list:
@@ -289,6 +292,31 @@ def test_frac_acc_packed_sums_match_a_fraction_reference():
     _check_packed_sum([({2: -2, 0: 1}, [F(3, 2), -4]), generic,
                        ({3: -1}, [1 << 300]), (None, ([0, 1], [2, 1, 1]))],
                       min_bits=300)
+
+
+def test_frac_acc_value_bookkeeping_matches_a_fraction_reference():
+    """The exponent-wise minimum counts a missing Phi_d as exponent 0, a
+    common positive exponent stays in the result's map, one nonzero group
+    sums like many, and groups that cancel leave the generic rest."""
+    generic = (None, ([2, -1], [3, 0, 1]))
+    # Phi_3 is negative in two groups and absent in the third; Phi_5 is
+    # negative in one; Phi_2 is positive in one and absent in the others.
+    r = _check_packed_sum([({3: -2, 2: 1}, [1, 2]), ({5: -1}, [3, 0, -4]),
+                           ({3: -1}, [1, -1])])
+    assert r.den.degree == 2 * 2 + 4
+    # Phi_2 is positive in every group: its least exponent stays a factor.
+    r = _check_packed_sum([({2: 2, 3: -1}, [1, 1]), ({2: 1}, [5]),
+                           ({2: 3, 0: 1}, [-1, 0, 2])])
+    assert r._m[2] == 1
+    # one nonzero group, its Phi_2 and q cancelled, next to a group that
+    # cancels by itself and a generic rest
+    once = [({2: -1, 0: -1}, [0, 1, 1]), ({4: -1}, [1, 2]), ({4: -1}, [-1, -2])]
+    assert _check_packed_sum(once) == QRat(1)
+    _check_packed_sum(once + [generic])
+    # every group cancels, with and without a generic rest
+    gone = [({3: -1}, [1, 2]), ({2: 1}, [4]), ({3: -1}, [-1, -2]), ({2: 1}, [-4])]
+    assert _check_packed_sum(gone).is_zero()
+    assert _check_packed_sum(gone + [generic]) == QRat(QPoly((2, -1)), QPoly((3, 0, 1)))
 
 
 def test_expand_matches_a_schoolbook_product_of_the_phi_lists():
