@@ -282,7 +282,12 @@ class AppellFamily:
 
     @property
     def generator(self) -> Series:
-        """The generator series A(t), truncated at the order."""
+        """The generator series A(t), truncated at the order.
+
+        It holds every number up to the order, so on a shared family
+        (order ``families.MAX_ORDER``) it computes all of them; no command
+        or check reads it.  Read it on a family built with a small order.
+        """
         with self._lock:
             if self._generator is None:
                 self._generator = divided_power_series(
@@ -431,18 +436,6 @@ def difference_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
         (k, alphas[k] * _qp(n - k) / _qf(k)) for k in range(n + 1)))
 
 
-def _lowering_term(fam: AppellFamily, n: int, k: int, dk: XPoly) -> XPoly:
-    """A_{n-k} - ([n-k]_q!/[n]_q!) dk, where dk = D^k A_n."""
-    return fam.polynomial(n - k) - dk.scale(_qf(n - k) / _qf(n))
-
-
-def lowering_residual(fam: AppellFamily, n: int, k: int) -> XPoly:
-    """A_{n-k}(x) - ([n-k]_q!/[n]_q!) D^k A_n(x)."""
-    if not 0 <= k <= n <= fam.order:
-        raise DegreeRangeError(f"lowering check needs 0 <= k <= n <= {fam.order}")
-    return _lowering_term(fam, n, k, fam.polynomial(n).q_derivatives(k)[k])
-
-
 def _degree_range(theorem_id: str, fam: AppellFamily, lo: int, hi: int,
                   residual) -> VerificationReport:
     if lo < 1 or hi > fam.order - 1:
@@ -460,7 +453,8 @@ def verify_difference_range(fam: AppellFamily, lo: int, hi: int) -> Verification
 
 
 def verify_lowering_range(fam: AppellFamily, max_n: int) -> VerificationReport:
-    """All iterated lowerings 0 <= k <= n <= max_n, merged into one report.
+    """All iterated lowerings A_{n-k} - ([n-k]_q!/[n]_q!) D^k A_n for
+    0 <= k <= n <= max_n, merged into one report.
 
     The residual recorded at degree n is its first nonzero one over k, so
     it is zero exactly when every chain length passes.
@@ -470,7 +464,8 @@ def verify_lowering_range(fam: AppellFamily, max_n: int) -> VerificationReport:
 
     def first_nonzero(n: int) -> XPoly:
         chain = fam.polynomial(n).q_derivatives(n)
-        terms = (_lowering_term(fam, n, k, d) for k, d in enumerate(chain))
+        terms = (fam.polynomial(n - k) - d.scale(_qf(n - k) / _qf(n))
+                 for k, d in enumerate(chain))
         return next((r for r in terms if not r.is_zero()), XPoly.zero())
 
     return make_report("lowering", fam.name, (0, max_n), first_nonzero)

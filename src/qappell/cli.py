@@ -15,12 +15,11 @@ from fractions import Fraction
 
 from . import render, reports
 from .appell import DegreeRangeError
-from .families import FamilyKind, make_family
+from .families import MAX_ORDER, FamilyKind, make_family
 from .qarith import PoleError
 
-# The largest --order, and the largest degree --max-n and --n may ask
-# for; _LIMITS below says what a run at the limits costs.
-MAX_ORDER = 200
+# The largest degree --max-n and --n may ask for (--order is capped at
+# families.MAX_ORDER); _LIMITS below says what a run at the limits costs.
 MAX_N = 32
 
 _LIMITS = f"""\
@@ -48,7 +47,10 @@ def _rational(text: str) -> Fraction:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int, default=24,
-                        help=f"series truncation order (default 24, at most {MAX_ORDER})")
+                        help="range of the Hermite generator-ratio check in verify, "
+                             "raised to --max-n + 1 and echoed as \"order\"; the "
+                             "other subcommands only range-check it "
+                             f"(default 24, at most {MAX_ORDER})")
     parser.add_argument("--format", choices=("json", "csv", "latex"),
                         default="json", help="output format (default json)")
 
@@ -93,11 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family_for(args, min_order: int):
-    order = max(args.order, min_order, 2)
-    return make_family(FamilyKind(args.family), order)
-
-
 def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
     if value < lo:
         raise _usage_error(f"{flag} must be >= {lo}")
@@ -127,14 +124,14 @@ def _write_table(args, key: str, values, latex_name) -> int:
 
 def cmd_numbers(args) -> int:
     _check_range("--max-n", args.max_n, 0, MAX_N)
-    values = _family_for(args, args.max_n).numbers(args.max_n)
+    values = make_family(FamilyKind(args.family)).numbers(args.max_n)
     sym = _NUMBER_SYMBOLS[args.family]
     return _write_table(args, "numbers", values, lambda n: f"{sym}_{{{n},q}}")
 
 
 def cmd_poly(args) -> int:
     _check_range("--n", args.n, 0, MAX_N)
-    poly = _family_for(args, args.n).polynomial(args.n)
+    poly = make_family(FamilyKind(args.family)).polynomial(args.n)
     payload = {"family": args.family, "n": args.n}
     for key, point in (("at_q", args.at_q), ("at_x", args.at_x)):
         if point is not None:
@@ -170,7 +167,7 @@ def _classical_latex(coeffs) -> str:
 
 def cmd_alpha(args) -> int:
     _check_range("--max-n", args.max_n, 0, MAX_N)
-    values = _family_for(args, args.max_n + 1).alphas(args.max_n)
+    values = make_family(FamilyKind(args.family)).alphas(args.max_n)
     return _write_table(args, "alpha", values, lambda n: f"\\alpha_{{{n}}}")
 
 

@@ -79,9 +79,19 @@ _NUMBERS = {
 }
 
 
+# The order of the shared families: the largest --order, which is the
+# largest index the Hermite ratio check reads (other degrees stop at 32).
+MAX_ORDER = 200
+
+
 @lru_cache(maxsize=None)
-def make_family(kind: FamilyKind, order: int) -> AppellFamily:
-    """A family whose numbers, alphas and polynomials reach `order`."""
+def make_family(kind: FamilyKind, order: int = MAX_ORDER) -> AppellFamily:
+    """The family of `kind` whose numbers, alphas and polynomials reach
+    `order`.  Without an order it is the one family of its kind that
+    every command and check shares; it extends on demand, so no value
+    depends on the order.  The cache keys on the arguments as given:
+    pass a FamilyKind, not its string value, to reach the shared family.
+    """
     kind = FamilyKind(kind)
     if order < 2:
         raise ValueError("family order must be >= 2")
@@ -111,8 +121,7 @@ def classical_limit(kind: FamilyKind, n: int) -> list[Fraction]:
     All four families are regular at q = 1; a PoleError here would
     indicate an arithmetic bug, not bad input.
     """
-    fam = make_family(FamilyKind(kind), max(n, 2))
-    return fam.polynomial(n).evaluate_q(1)
+    return make_family(FamilyKind(kind)).polynomial(n).evaluate_q(1)
 
 
 class DiscrepancyReport(NamedTuple):
@@ -213,7 +222,7 @@ def verify_printed_theorem(kind: FamilyKind, theorem_id: str, max_n: int,
     expected, residual = _PRINTED_CLAIMS[claim]
     if expected is not FamilyKind(kind):
         raise ValueError(f"theorem {theorem_id} is about the {expected.value} family")
-    fam = make_family(expected, max(max_n, 10))
+    fam = make_family(expected)
     return first_counterexample(claim, range(2, max_n + 1),
                                 lambda n: residual(fam, n))
 
@@ -226,7 +235,7 @@ def verify_euler_number_relation(max_n: int) -> DiscrepancyReport:
     residual.
     """
     nums = euler_numbers(max_n)
-    fam = make_family(FamilyKind.EULER, max(max_n, 2))
+    fam = make_family(FamilyKind.EULER)
     half = Fraction(1, 2)
     return first_counterexample(
         "euler-relation", range(max_n + 1),

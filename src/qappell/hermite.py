@@ -11,6 +11,10 @@ and with the small-n table H_2 = x^2 - 1, H_3 = x^3 - [3]_q x,
 H_4 = x^4 - (1+q^2)[3]_q x^2 + [3]_q q^2.  The bare sum itself is kept
 available as a descriptive claim ("h0-normalization") in the discrepancy
 report.
+
+Every check here reads the one shared Hermite family,
+``make_family(FamilyKind.HERMITE)``.  Only the generator ratio check
+takes an order, because its order is the range of t-powers it examines.
 """
 
 from __future__ import annotations
@@ -20,12 +24,6 @@ from .appell import (AppellFamily, VerificationReport, XPoly, _qf, _qi, _qp,
                      difference_form, make_report, recurrence_form)
 from .families import (DiscrepancyReport, FamilyKind,
                        first_counterexample, make_family)
-
-_DEFAULT_ORDER = 20
-
-
-def hermite_family(order: int = _DEFAULT_ORDER) -> AppellFamily:
-    return make_family(FamilyKind.HERMITE, order)
 
 
 def _bare_series_sum(n: int) -> XPoly:
@@ -52,36 +50,32 @@ def printed_series_form(n: int) -> XPoly:
 
 def recurrence_residual(n: int, fam: AppellFamily | None = None) -> XPoly:
     """H_n(qx) - x q^n H_{n-1}(x) + [n-1]_q q^(n-2) H_{n-2}(x)."""
-    if fam is None:
-        fam = hermite_family(max(n, _DEFAULT_ORDER))
+    fam = fam or make_family(FamilyKind.HERMITE)
     return recurrence_form(fam, n, QRAT_ONE, -_qp(n),
                            [(n - 2, _qi(n - 1) * _qp(n - 2))])
 
 
 def difference_residual(n: int, fam: AppellFamily | None = None) -> XPoly:
     """q^(n-2) D^2 H_n - x q^n D H_n + [n]_q H_n(qx)."""
-    if fam is None:
-        fam = hermite_family(max(n, _DEFAULT_ORDER))
+    fam = fam or make_family(FamilyKind.HERMITE)
     return difference_form(fam, n, _qi(n), -_qp(n), [(2, _qp(n - 2))])
 
 
-def _hermite_range(theorem_id: str, lo: int, max_n: int, order: int | None,
+def _hermite_range(theorem_id: str, lo: int, max_n: int,
                    residual) -> VerificationReport:
-    fam = hermite_family(order if order is not None else max(max_n, _DEFAULT_ORDER))
+    fam = make_family(FamilyKind.HERMITE)
     return make_report(theorem_id, "hermite", (lo, max_n),
                        lambda n: residual(n, fam))
 
 
-def verify_hermite_recurrence_range(max_n: int,
-                                    order: int | None = None) -> VerificationReport:
+def verify_hermite_recurrence_range(max_n: int) -> VerificationReport:
     """The three-term recurrence (h1) for 2 <= n <= max_n."""
-    return _hermite_range("h1", 2, max_n, order, recurrence_residual)
+    return _hermite_range("h1", 2, max_n, recurrence_residual)
 
 
-def verify_hermite_difference_range(max_n: int,
-                                    order: int | None = None) -> VerificationReport:
+def verify_hermite_difference_range(max_n: int) -> VerificationReport:
     """The second-order q-difference equation (h2) for 1 <= n <= max_n."""
-    return _hermite_range("h2", 1, max_n, order, difference_residual)
+    return _hermite_range("h2", 1, max_n, difference_residual)
 
 
 def verify_hermite_generator_ratio(order: int) -> VerificationReport:
@@ -94,7 +88,7 @@ def verify_hermite_generator_ratio(order: int) -> VerificationReport:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    h = hermite_family(order).numbers(order)
+    h = make_family(FamilyKind.HERMITE).numbers(order)
 
     def residual(n: int) -> XPoly:
         if n == 0:
@@ -105,15 +99,15 @@ def verify_hermite_generator_ratio(order: int) -> VerificationReport:
     return make_report("hermite-ratio", "hermite", (0, order - 1), residual)
 
 
-def verify_cross_construction(max_n: int, order: int | None = None) -> VerificationReport:
+def verify_cross_construction(max_n: int) -> VerificationReport:
     """Generating-function construction vs normalized explicit sum."""
-    return _hermite_range("h0-cross", 0, max_n, order,
+    return _hermite_range("h0-cross", 0, max_n,
                           lambda n, fam: hermite_series_form(n) - fam.polynomial(n))
 
 
 def verify_printed_series_form(max_n: int) -> DiscrepancyReport:
     """Descriptive claim: the printed explicit sum without the [n]_q!
     factor against the generating-function polynomials."""
-    fam = hermite_family(max(max_n, 2))
+    fam = make_family(FamilyKind.HERMITE)
     return first_counterexample("h0-normalization", range(max_n + 1),
                                 lambda n: printed_series_form(n) - fam.polynomial(n))

@@ -370,18 +370,6 @@ class QRat:
     def __rtruediv__(self, other) -> QRat:
         return QRat(other) / self
 
-    def __pow__(self, e: int) -> QRat:
-        if e < 0:
-            return self.reciprocal() ** (-e)
-        result = QRAT_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def reciprocal(self) -> QRat:
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of the zero rational function")

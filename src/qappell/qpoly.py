@@ -273,13 +273,6 @@ class QPoly:
         den = _int_lcm(*(c.denominator for c in cs))
         return _poly([c.numerator * (den // c.denominator) for c in cs], den)
 
-    @classmethod
-    def q_power(cls, k: int) -> QPoly:
-        """The monomial q**k (k >= 0)."""
-        if k < 0:
-            raise ValueError("q_power needs k >= 0; use QRat.q_power for negative k")
-        return _poly([0] * k + [1])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self._den) for c in self._ints)
@@ -293,9 +286,6 @@ class QPoly:
 
     def is_one(self) -> bool:
         return self._ints == (1,) and self._den == 1
-
-    def leading(self) -> Fraction:
-        return Fraction(self._ints[-1], self._den) if self._ints else _F0
 
     def __bool__(self) -> bool:
         return bool(self._ints)
@@ -355,18 +345,6 @@ class QPoly:
         return _poly(_int_mul(self._ints, other._ints), self._den * other._den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> QPoly:
-        if e < 0:
-            raise ValueError("negative power of a QPoly; use QRat")
-        result = P_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def scale(self, c) -> QPoly:
         c = _as_fraction(c)

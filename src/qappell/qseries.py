@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qarith import FracAcc, QPoly, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO
+from .qarith import FracAcc, QPoly, QRat, QRAT_ONE, QRAT_ZERO
 
 
 class OrderMismatchError(ValueError):
@@ -188,16 +188,6 @@ class Series:
             out.append(a * QRat.q_integer(n))
         return Series(out)
 
-    def times_t(self) -> Series:
-        """Multiply by t exactly; the order grows by one."""
-        return Series((QRAT_ZERO,) + self.coeffs)
-
-    def truncate(self, order: int) -> Series:
-        """Drop coefficients above the given (smaller or equal) order."""
-        if not 0 <= order <= self.order:
-            raise ValueError("can only truncate to 0..order")
-        return Series(self.coeffs[: order + 1])
-
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:5])
         tail = ", ..." if self.order > 4 else ""
@@ -209,8 +199,3 @@ def eq_exponential(order: int) -> Series:
     if order < 0:
         raise ValueError("order must be >= 0")
     return Series([QRat.q_factorial(n).reciprocal() for n in range(order + 1)])
-
-
-def scale_arg_q(s: Series) -> Series:
-    """Substitute t -> q*t."""
-    return s.scale_arg(QRAT_Q)

@@ -26,8 +26,8 @@ ALL_FAMILIES = (FamilyKind.BERNOULLI, FamilyKind.EULER,
                 FamilyKind.GENOCCHI, FamilyKind.HERMITE)
 
 
-def _families(order: int):
-    return [make_family(kind, order) for kind in ALL_FAMILIES]
+def _families():
+    return [make_family(kind) for kind in ALL_FAMILIES]
 
 
 def _printed(kind: FamilyKind, theorem_id: str, *e1_reading: str):
@@ -38,20 +38,18 @@ def _printed(kind: FamilyKind, theorem_id: str, *e1_reading: str):
 # Every check, in report order: (scope, first degree, run).  A hard
 # check has the smallest degree it examines and gates the exit code; a
 # descriptive check has None.  run(max_n, order, euler_max_n) returns its
-# reports.
+# reports; only the generator ratio check reads the order.
 _CHECKS = (
-    ("a1", 1, lambda max_n, order, _: [
-        verify_recurrence_range(fam, 1, max_n) for fam in _families(order)]),
-    ("a2", 1, lambda max_n, order, _: [
-        verify_difference_range(fam, 1, max_n) for fam in _families(order)]),
-    ("lowering", 0, lambda max_n, order, _: [
-        verify_lowering_range(fam, max_n) for fam in _families(order)]),
-    ("h1", 2, lambda max_n, order, _: [
-        hermite.verify_hermite_recurrence_range(max_n, order)]),
-    ("h2", 1, lambda max_n, order, _: [
-        hermite.verify_hermite_difference_range(max_n, order)]),
+    ("a1", 1, lambda max_n, *_: [
+        verify_recurrence_range(fam, 1, max_n) for fam in _families()]),
+    ("a2", 1, lambda max_n, *_: [
+        verify_difference_range(fam, 1, max_n) for fam in _families()]),
+    ("lowering", 0, lambda max_n, *_: [
+        verify_lowering_range(fam, max_n) for fam in _families()]),
+    ("h1", 2, lambda max_n, *_: [hermite.verify_hermite_recurrence_range(max_n)]),
+    ("h2", 1, lambda max_n, *_: [hermite.verify_hermite_difference_range(max_n)]),
     ("h0", 0, lambda max_n, order, _: [
-        hermite.verify_cross_construction(max_n, order),
+        hermite.verify_cross_construction(max_n),
         hermite.verify_hermite_generator_ratio(order)]),
     ("b1", None, _printed(FamilyKind.BERNOULLI, "b1")),
     ("b2", None, _printed(FamilyKind.BERNOULLI, "b2")),

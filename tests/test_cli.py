@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qappell import render
+from qappell import cli, families, render
 from qappell.cli import MAX_N, MAX_ORDER, build_parser, main
 from qappell.families import FamilyKind, make_family
 
@@ -210,6 +210,14 @@ def test_verify_checks_degree_ranges_before_building_families(capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: h1: empty degree range 2..1"]
     assert make_family.cache_info().misses == 0
+
+
+def test_verify_all_builds_one_family_per_kind(capsys):
+    make_family.cache_clear()
+    assert main(["verify", "--scope", "all", "--max-n", "12"]) == 0
+    capsys.readouterr()
+    assert make_family.cache_info().misses == 4
+    assert cli.MAX_ORDER is families.MAX_ORDER
 
 
 def test_verify_exit_1_on_hard_failure(capsys, monkeypatch):

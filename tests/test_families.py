@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from qappell.qarith import QPoly, QRat, q_double_factorial_even, q_factorial
-from qappell.qseries import Series, eq_exponential, scale_arg_q
+from qappell.qarith import (QPoly, QRat, QRAT_Q, QRAT_ZERO,
+                            q_double_factorial_even, q_factorial)
+from qappell.qseries import Series, eq_exponential
 from qappell.appell import XPoly
 from qappell.families import (DiscrepancyReport, FamilyKind, classical_limit,
                               euler_number_series, euler_numbers,
@@ -57,9 +58,17 @@ def _division_generator(kind: FamilyKind, order: int) -> Series:
         return Series.monomial(order, 1, 2) / (eq_exponential(order) + Series.one(order))
     coeffs = [QRat(0)] * (order + 1)
     for m in range(order // 2 + 1):
-        num = QPoly.q_power(m * (m - 1))
+        num = QPoly([0] * (m * (m - 1)) + [1])
         coeffs[2 * m] = QRat(-num if m % 2 else num, q_double_factorial_even(m))
     return Series(coeffs)
+
+
+def _times_t(s: Series) -> Series:
+    return Series((QRAT_ZERO,) + s.coeffs)
+
+
+def _truncate(s: Series, order: int) -> Series:
+    return Series(s.coeffs[: order + 1])
 
 
 def _times_q_factorial(series: Series) -> tuple:
@@ -74,14 +83,14 @@ def test_divided_power_solves_match_series_division(kind):
     assert fam.numbers(order) == _times_q_factorial(gen)
     # alpha quotient t D_q A(t) / A(qt), truncated where it covers alpha_23
     need = order if fam.shifted else order - 1
-    quotient = (gen.q_derivative().times_t().truncate(need)
-                / scale_arg_q(gen).truncate(need))
+    quotient = (_truncate(_times_t(gen.q_derivative()), need)
+                / _truncate(gen.scale_arg(QRAT_Q), need))
     assert fam.alphas(order - 1) == _times_q_factorial(quotient)
     assert fam.generator.coeffs == gen.coeffs
 
 
 def test_euler_numbers_match_series_division():
-    num = eq_exponential(12).times_t()
+    num = _times_t(eq_exponential(12))
     den = eq_exponential(13).scale_arg(2) - Series.one(13)
     assert tuple(euler_numbers(12)) == _times_q_factorial(num / den)
 

@@ -5,9 +5,8 @@ import pytest
 from qappell.qarith import QPoly, QRat, QRAT_Q, q_integer
 from qappell.appell import XPoly
 from qappell.families import FamilyKind, make_family
-from qappell.hermite import (hermite_family, hermite_series_form,
-                             printed_series_form, recurrence_residual,
-                             verify_cross_construction,
+from qappell.hermite import (hermite_series_form, printed_series_form,
+                             recurrence_residual, verify_cross_construction,
                              verify_hermite_difference_range,
                              verify_hermite_generator_ratio,
                              verify_hermite_recurrence_range,
@@ -18,6 +17,10 @@ import oracles
 Q3 = QPoly((1, 1, 1))   # [3]_q
 
 
+def _qpow(k: int) -> QPoly:
+    return QPoly([0] * k + [1])
+
+
 def test_series_form_small_table():
     # H_0 .. H_4 as listed: coefficients are explicit q-polynomials
     assert hermite_series_form(0) == XPoly((1,))
@@ -25,7 +28,7 @@ def test_series_form_small_table():
     assert hermite_series_form(2) == XPoly((-1, 0, 1))
     assert hermite_series_form(3) == XPoly((0, QRat(-Q3), 0, QRat(1)))
     one_plus_q2 = QPoly((1, 0, 1))
-    assert hermite_series_form(4) == XPoly((QRat(Q3 * QPoly.q_power(2)), 0,
+    assert hermite_series_form(4) == XPoly((QRat(Q3 * _qpow(2)), 0,
                                             QRat(-(one_plus_q2 * Q3)), 0, QRat(1)))
 
 
@@ -45,9 +48,9 @@ def oracle_fact(n):
 
 def test_recurrence_small_case_by_hand():
     # n = 2: H_2(qx) = q^2 x^2 - 1 and x q^2 H_1 - [1] q^0 H_0 agree
-    fam = hermite_family(6)
+    fam = make_family(FamilyKind.HERMITE)
     lhs = fam.polynomial(2).scale_x(QRAT_Q)
-    assert lhs == XPoly((-1, 0, QRat(QPoly.q_power(2))))
+    assert lhs == XPoly((-1, 0, QRat(_qpow(2))))
     rhs = (fam.polynomial(1).times_x().scale(QRat.q_power(2))
            - fam.polynomial(0))
     assert lhs == rhs
@@ -61,7 +64,7 @@ def test_recurrence_reproduces_h4():
 
 
 def test_recurrence_range():
-    rep = verify_hermite_recurrence_range(20, order=20)
+    rep = verify_hermite_recurrence_range(20)
     assert rep.passed and rep.n_range == (2, 20)
     assert len(rep.residuals) == 19
     with pytest.raises(ValueError):
@@ -85,7 +88,7 @@ def test_generator_ratio():
 
 def test_generator_classical_limit_is_gaussian():
     # q -> 1 limit of the generator: exp(-t^2/2) = 1, 0, -1/2, 0, 1/8, ...
-    gen = hermite_family(8).generator
+    gen = make_family(FamilyKind.HERMITE, 8).generator
     values = [c.evaluate(1) for c in gen.coeffs]
     assert values[:5] == [Fraction(1), Fraction(0), Fraction(-1, 2),
                           Fraction(0), Fraction(1, 8)]
@@ -115,7 +118,7 @@ def test_parity():
 
 def test_recurrence_chains_rebuild_the_table():
     # iterate the three-term recurrence from H_0, H_1 and unscale x -> x/q
-    fam = hermite_family(6)
+    fam = make_family(FamilyKind.HERMITE)
     inv_q = QRat.q_power(-1)
     polys = [fam.polynomial(0), fam.polynomial(1)]
     for n in range(2, 5):
@@ -134,7 +137,7 @@ def test_cross_construction_report():
 
 
 def test_classical_limit_matches_he():
-    fam = hermite_family(10)
+    fam = make_family(FamilyKind.HERMITE)
     for n in range(11):
         coeffs = [c.evaluate(1) for c in fam.polynomial(n).coeffs]
         assert coeffs == oracles.hermite_he(n)

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from qappell.qarith import QPoly, QRat, q_factorial
+from qappell.qarith import QPoly, QRat, QRAT_Q, q_factorial
 from qappell.qseries import (CancellationError, OrderMismatchError, Series,
-                             ZeroDivisorError, eq_exponential, scale_arg_q)
+                             ZeroDivisorError, eq_exponential)
+
+
+def _truncate(s: Series, order: int) -> Series:
+    return Series(s.coeffs[: order + 1])
 
 
 def test_mul_identity_and_monomials():
@@ -52,7 +56,7 @@ def test_scale_arg_examples():
     for n in range(7):
         assert doubled.coefficient(n) == QRat(QPoly(2 ** n), q_factorial(n))
     tt = Series.monomial(3, 1) + Series.monomial(3, 2)
-    scaled = scale_arg_q(tt)
+    scaled = tt.scale_arg(QRAT_Q)
     assert scaled.coefficient(1) == QRat(QPoly((0, 1)))
     assert scaled.coefficient(2) == QRat(QPoly((0, 0, 1)))
 
@@ -63,7 +67,7 @@ def test_q_derivative_examples():
     t2 = Series.monomial(4, 2)
     assert t2.q_derivative() == Series.monomial(3, 1, QPoly((1, 1)))
     e = eq_exponential(8)
-    assert e.q_derivative() == e.truncate(7)
+    assert e.q_derivative() == _truncate(e, 7)
 
 
 def test_q_derivative_requires_positive_order():
@@ -118,8 +122,8 @@ def test_q_derivative_product_rule():
         f = _random_series(rng, order)
         g = _random_series(rng, order)
         lhs = (f * g).q_derivative()
-        rhs = (scale_arg_q(f).truncate(order - 1) * g.q_derivative()
-               + g.truncate(order - 1) * f.q_derivative())
+        rhs = (_truncate(f.scale_arg(QRAT_Q), order - 1) * g.q_derivative()
+               + _truncate(g, order - 1) * f.q_derivative())
         assert lhs == rhs
 
 
@@ -128,17 +132,6 @@ def test_scale_arg_roundtrip():
     for c in (QRat(2), QRat(QPoly((0, 1))), QRat(QPoly((1, 1)))):
         s = _random_series(rng, 5)
         assert s.scale_arg(c).scale_arg(c.reciprocal()) == s
-
-
-def test_times_t_and_truncate():
-    s = eq_exponential(4)
-    up = s.times_t()
-    assert up.order == 5
-    assert up.coefficient(0).is_zero()
-    assert up.coefficient(3) == s.coefficient(2)
-    assert up.truncate(4).order == 4
-    with pytest.raises(ValueError):
-        s.truncate(9)
 
 
 def test_order_mismatch_add():
