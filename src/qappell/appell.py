@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .qarith import FracAcc, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO
+from .qpoly import _as_fraction
 from .qseries import Series
 
 # The factored q-constants: q^e, [n]_q, [n]_q! and [n k]_q.
@@ -152,7 +153,7 @@ class XPoly:
 
     def evaluate_x(self, x0) -> QRat:
         """Exact value at a rational x0, with q still symbolic (Horner)."""
-        x0 = _as_qrat(x0)
+        x0 = x0 if isinstance(x0, QRat) else QRat(_as_fraction(x0))
         acc = QRAT_ZERO
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
@@ -164,7 +165,7 @@ class XPoly:
 
     def evaluate(self, q0, x0) -> Fraction:
         """Exact value at numeric (q0, x0)."""
-        x0 = x0 if isinstance(x0, Fraction) else Fraction(x0)
+        x0 = x0 if isinstance(x0, Fraction) else _as_fraction(x0)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x0 + c.evaluate(q0)

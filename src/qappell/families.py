@@ -89,12 +89,18 @@ def make_family(kind: FamilyKind, order: int = MAX_ORDER) -> AppellFamily:
     """The family of `kind` whose numbers, alphas and polynomials reach
     `order`.  Without an order it is the one family of its kind that
     every command and check shares; it extends on demand, so no value
-    depends on the order.  The cache keys on the arguments as given:
-    pass a FamilyKind, not its string value, to reach the shared family.
+    depends on the order.  A kind given as its string value, or the
+    order given as MAX_ORDER, returns the same family: this cache keys
+    on the arguments as given (its ``cache_info()`` counts the calls),
+    and ``_family`` on the normalized pair.
     """
-    kind = FamilyKind(kind)
     if order < 2:
         raise ValueError("family order must be >= 2")
+    return _family(FamilyKind(kind), order)
+
+
+@lru_cache(maxsize=None)
+def _family(kind: FamilyKind, order: int) -> AppellFamily:
     return AppellFamily.from_numbers(kind.value, order, _NUMBERS[kind])
 
 

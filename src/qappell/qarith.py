@@ -5,8 +5,8 @@ Every number, alpha and polynomial coefficient of the four families has
 a denominator of the form q^a prod Phi_d(q) over cyclotomic polynomials
 (Lang, *Algebra*, VI.3), and so do the q-constants, by
 q^n - 1 = prod_{d | n} Phi_d.  A ``QRat`` of that kind is held factored:
-an exponent map over q and the Phi_d, with an expanded numerator part
-(see ``QRat``).  Products add exponents, sums take the exponent-wise
+one exponent vector over q and the Phi_d, with an expanded numerator
+part (see ``QRat``).  Products add vectors, sums take the element-wise
 minimum as the common factor, and canonicalization is trial division of
 the numerator by each Phi_d of negative exponent, so none of them needs
 a polynomial gcd.  Expanding a Phi product, and summing the groups of a
@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm as _int_lcm
+from operator import add
 
 from .qpoly import (P_ONE, P_ZERO, QPoly, _as_fraction, _int_div_exact,
                     _kron_pack, _kron_unpack, _poly, _width, qpoly_gcd)
@@ -50,8 +51,8 @@ class PoleError(ZeroDivisionError):
 @lru_cache(maxsize=None)
 def _phi(d: int) -> tuple[int, ...]:
     """Integer coefficients of the cyclotomic polynomial Phi_d(q), d >= 1,
-    as q^d - 1 divided by Phi_e for each proper divisor e of d.  Key 0
-    stands for q itself, so one exponent map covers q and every Phi_d."""
+    as q^d - 1 divided by Phi_e for each proper divisor e of d.  Index 0
+    stands for q itself, so one exponent vector covers q and every Phi_d."""
     if d == 0:
         return (0, 1)
     v = [-1] + [0] * (d - 1) + [1]
@@ -82,23 +83,44 @@ def _phi_at(d: int, w: int) -> int:
     return _kron_pack(_phi(d), w)
 
 
+def _vec(v) -> tuple[int, ...]:
+    """v as a canonical exponent vector: a tuple without trailing zeros."""
+    n = len(v)
+    while n and not v[n - 1]:
+        n -= 1
+    return tuple(v if n == len(v) else v[:n])
+
+
+def _vadd(a: tuple, b: tuple) -> tuple:
+    """Element-wise sum of two exponent vectors."""
+    if not b:
+        return a
+    if not a:
+        return b
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) > len(b):
+        return tuple(map(add, a, b)) + a[len(b):]
+    return _vec(list(map(add, a, b)))
+
+
 @lru_cache(maxsize=1024)
 def _size(cof: tuple) -> tuple[int, int]:
-    """For the product of Phi_d^e over cof = (d1, e1, d2, e2, ...), all
-    e > 0 (flat, to keep the memoized keys small): a bound on every
+    """For the product of Phi_d^cof[d], all cof[d] >= 0: a bound on every
     coefficient, since the sum of the absolute coefficients is
     submultiplicative, and the number of coefficients."""
     bound = slots = 1
-    for d, e in zip(cof[::2], cof[1::2]):
-        bound *= sum(map(abs, _phi(d))) ** e
-        slots += e * (len(_phi(d)) - 1)
+    for d, e in enumerate(cof):
+        if e:
+            bound *= sum(map(abs, _phi(d))) ** e
+            slots += e * (len(_phi(d)) - 1)
     return bound, slots
 
 
 @lru_cache(maxsize=1024)
 def _packed(cof: tuple, w: int) -> int:
     """The product over cof at q = 256^w."""
-    vs = [_phi_at(d, w) ** e for d, e in zip(cof[::2], cof[1::2])] or [1]
+    vs = [_phi_at(d, w) ** e for d, e in enumerate(cof) if e] or [1]
     # A balanced product tree keeps the big-integer multiplies even.
     while len(vs) > 1:
         vs = [vs[i] * vs[i + 1] if i + 1 < len(vs) else vs[i]
@@ -107,73 +129,46 @@ def _packed(cof: tuple, w: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def _expand(key: tuple) -> QPoly:
-    """The product of Phi_d^e over the (d, e) pairs of key, all e > 0:
-    one big-integer product at q = 256^w, unpacked once."""
-    key = tuple(x for pair in key for x in pair)
-    bound, slots = _size(key)
+def _expand(cof: tuple) -> QPoly:
+    """The product of Phi_d^cof[d], all cof[d] >= 0: one big-integer
+    product at q = 256^w, unpacked once."""
+    bound, slots = _size(cof)
     w = _width(bound)
     # _expand caches its own result, so the product skips _packed's cache.
-    return _poly(_kron_unpack(_packed.__wrapped__(key, w), w, slots))
+    return _poly(_kron_unpack(_packed.__wrapped__(cof, w), w, slots))
 
 
-def _part(m: dict, sign: int) -> QPoly:
-    """The expanded factor of exponent map m on one side: sign 1 gives the
-    numerator part, -1 the denominator part."""
-    return _expand(tuple(sorted((d, sign * e) for d, e in m.items() if sign * e > 0)))
+def _part(m: tuple, sign: int) -> QPoly:
+    """The expanded factor of exponent vector m on one side: sign 1 gives
+    the numerator part, -1 the denominator part."""
+    return _expand(_vec([max(sign * e, 0) for e in m]))
 
 
-def _madd(a: dict, b: dict) -> dict:
-    """Exponent-wise sum of two maps, without zero entries."""
-    if not b:
-        return a
-    if not a:
-        return b
-    if len(a) < len(b):
-        a, b = b, a
-    m = dict(a)
-    for d, e in b.items():
-        s = m.get(d, 0) + e
-        if s:
-            m[d] = s
-        else:
-            del m[d]
-    return m
-
-
-def _cancel(m: dict, n: QPoly, ds) -> tuple[dict, QPoly]:
-    """Divide the nonzero n by Phi_d, for each d in ds, as long as m[d] is
-    negative and the division is exact, raising m[d] by one each time.
-    Returns the reduced (m, n); the arguments are not modified."""
+def _cancel(m: tuple, n: QPoly, held: tuple = ()) -> tuple[tuple, QPoly]:
+    """Divide the nonzero n by Phi_d while m[d] is negative and the
+    division is exact, raising m[d] by one each time.  A Phi_d negative
+    in `held`, the vector n was canonical under, is skipped: n is prime
+    to it.  Returns the reduced (m, n)."""
     ints = n._ints
-    out = None
-    for d in ds:
-        e = (m if out is None else out).get(d, 0)
-        if e >= 0:
+    v = list(m)
+    k = len(held)
+    for d, e in enumerate(m):
+        if e >= 0 or d < k and held[d] < 0:
             continue
-        start = e
         if d == 0:
             k = 0
             while k < -e and not ints[k]:
                 k += 1
             ints = ints[k:]
-            e += k
+            v[0] += k
         else:
             phi = _phi(d)
-            while e < 0 and len(ints) >= len(phi) and _phi_divides(ints, d):
+            while v[d] < 0 and len(ints) >= len(phi) and _phi_divides(ints, d):
                 ints = _int_div_exact(ints, phi)
-                e += 1
-        if e == start:
-            continue
-        if out is None:
-            out = dict(m)
-        if e:
-            out[d] = e
-        else:
-            del out[d]
-    if out is None:
+                v[d] += 1
+    if len(ints) == len(n._ints):
         return m, n
-    return out, _poly(list(ints), n._den)
+    return _vec(v), _poly(list(ints), n._den)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +179,16 @@ class QRat:
     """Rational function in q.
 
     A value whose denominator is q^a times cyclotomic polynomials (every
-    value the families produce) is held factored: an exponent map {d: e}
-    over q (key 0) and the Phi_d, positive exponents in the numerator
-    and negative ones in the denominator, times an expanded numerator
-    part N that no Phi_d of negative exponent divides.  Products add
-    exponents, and sums take the exponent-wise minimum as the common
-    factor, so neither needs a polynomial gcd.  Any other value is held
-    generically as its canonical pair and combined by gcds.
+    value the families produce) is held factored: an exponent vector, a
+    tuple whose index 0 is the power of q and index d >= 1 the exponent
+    of Phi_d, positive in the numerator and negative in the denominator,
+    times an expanded numerator part N that no Phi_d of negative
+    exponent divides.  The vector has no trailing zeros, so equal
+    factors are equal tuples and () is no factor at all.  Products add
+    vectors element-wise, and sums take the element-wise minimum as the
+    common factor, so neither needs a polynomial gcd.  Any other value
+    is held generically as its canonical pair (vector None) and
+    combined by gcds.
 
     ``num`` and ``den`` are the canonical pair in either form: den monic,
     gcd(num, den) = 1 in Q[q].  They are expanded on first use and
@@ -218,13 +216,13 @@ class QRat:
         # den = c q^w: scale by 1/c and cancel the common power of q.
         if not den.is_one():
             num = num._times(den._den, den._ints[-1])
-        return _factored(*_cancel({0: -den.degree} if den.degree else {}, num, (0,)))
+        return _factored(*_cancel((-den.degree,) if den.degree else (), num))
 
     @staticmethod
     @lru_cache(maxsize=None)
     def q_power(k: int) -> QRat:
         """q**k for any integer k (negative powers land in the denominator)."""
-        return _factored({0: k} if k else {}, P_ONE)
+        return _factored((k,) if k else (), P_ONE)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -235,7 +233,7 @@ class QRat:
             raise ValueError("q_integer needs n >= 0")
         if n == 0:
             return QRAT_ZERO
-        return _factored({d: 1 for d in range(2, n + 1) if n % d == 0}, P_ONE)
+        return _factored(_vec([0, 0] + [int(n % d == 0) for d in range(2, n + 1)]), P_ONE)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -243,7 +241,7 @@ class QRat:
         """[n]_q! = [1]_q ... [n]_q, in which Phi_d occurs floor(n/d) times."""
         if n < 0:
             raise ValueError("q_factorial needs n >= 0")
-        return _factored({d: n // d for d in range(2, n + 1)}, P_ONE)
+        return _factored(_vec([0, 0] + [n // d for d in range(2, n + 1)]), P_ONE)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -253,8 +251,8 @@ class QRat:
             raise ValueError("q_binomial needs n >= 0")
         if k < 0 or k > n:
             return QRAT_ZERO
-        m = {d: n // d - k // d - (n - k) // d for d in range(2, n + 1)}
-        return _factored({d: e for d, e in m.items() if e}, P_ONE)
+        return _factored(_vec([0, 0] + [n // d - k // d - (n - k) // d
+                                         for d in range(2, n + 1)]), P_ONE)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -263,8 +261,8 @@ class QRat:
         floor(2m/d) of the j <= m if d is even, floor(m/d) if d is odd."""
         if m < 0:
             raise ValueError("q_double_factorial_even needs m >= 0")
-        exps = {d: (2 * m if d % 2 == 0 else m) // d for d in range(2, 2 * m + 1)}
-        return _factored({d: e for d, e in exps.items() if e}, P_ONE)
+        return _factored(_vec([0, 0] + [(2 * m if d % 2 == 0 else m) // d
+                                         for d in range(2, 2 * m + 1)]), P_ONE)
 
     @property
     def num(self) -> QPoly:
@@ -283,7 +281,7 @@ class QRat:
         return not self._n._ints
 
     def is_one(self) -> bool:
-        return self._m == {} and self._n.is_one()
+        return self._m == () and self._n.is_one()
 
     def __bool__(self) -> bool:
         return bool(self._n._ints)
@@ -347,14 +345,14 @@ class QRat:
         ma, mb = self._m, other._m
         if ma is None or mb is None:
             return _mul_pairs(self.num, self.den, other.num, other.den)
-        m = _madd(ma, mb)
+        m = _vadd(ma, mb)
         na, nb = self._n, other._n
         # A numerator part may hold a Phi_d whose exponent was not
-        # negative in its own map but is in the product's.
+        # negative in its own vector but is in the product's.
         if na.degree > 0:
-            m, na = _cancel(m, na, [d for d, e in mb.items() if e < 0 <= ma.get(d, 0)])
+            m, na = _cancel(m, na, ma)
         if nb.degree > 0:
-            m, nb = _cancel(m, nb, [d for d, e in ma.items() if e < 0 <= mb.get(d, 0)])
+            m, nb = _cancel(m, nb, mb)
         # Share a numerator part when the other one is 1.
         return _factored(m, na if nb.is_one() else nb if na.is_one() else na * nb)
 
@@ -375,8 +373,7 @@ class QRat:
             raise ZeroDivisionError("reciprocal of the zero rational function")
         n = self._n
         if self._m is not None and n.degree == 0:
-            return _factored({d: -e for d, e in self._m.items()},
-                             _poly([n._den], n._ints[0]))
+            return _factored(tuple(-e for e in self._m), _poly([n._den], n._ints[0]))
         return _pair(self.den, self.num)
 
     def evaluate(self, q0) -> Fraction:
@@ -407,11 +404,11 @@ def _needs_parens(p: QPoly) -> bool:
     return len(nonzero) > 1 or (bool(nonzero) and p._den != 1)
 
 
-def _factored(m: dict, n: QPoly) -> QRat:
+def _factored(m: tuple, n: QPoly) -> QRat:
     """The value Phi^m n, for an n prime to every Phi_d of negative
-    exponent in m."""
+    exponent in the vector m."""
     r = object.__new__(QRat)
-    r._m = m if n._ints else {}
+    r._m = m if n._ints else ()
     r._n = n
     r._num = r._den = r._hash = None
     return r
@@ -436,7 +433,7 @@ def _pair(num: QPoly, den: QPoly) -> QRat:
         num, den = num._times(scale, lead), _poly(list(den._ints), lead)
     if any(den._ints[:-1]):
         return _generic(num, den)
-    return _factored({0: -den.degree} if den.degree else {}, num)
+    return _factored((-den.degree,) if den.degree else (), num)
 
 
 def _add_pairs(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRat:
@@ -474,8 +471,8 @@ def _mul_pairs(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRat:
     return _pair(a * c, b * d)
 
 
-QRAT_ZERO = _factored({}, P_ZERO)
-QRAT_ONE = _factored({}, P_ONE)
+QRAT_ZERO = _factored((), P_ZERO)
+QRAT_ONE = _factored((), P_ONE)
 QRAT_Q = QRat.q_power(1)
 
 
@@ -503,16 +500,16 @@ def q_binomial(n: int, k: int) -> QPoly:
 class FracAcc:
     """Accumulator for a sum of rational functions.
 
-    Factored terms are kept unreduced, summed per exponent map.
-    ``value()`` brings the groups over the exponent-wise minimum of their
-    maps (one pass) and over the lcm of their integer denominators, with
-    no gcd: it evaluates every group times its Phi cofactor at one point
-    q = 256^w, adds the results as Python ints and unpacks a nonzero sum
-    once, then runs the trial divisions that make the sum canonical.  The
-    slot width w comes from a bound on every coefficient of the sum.
-    Generic terms are summed apart by ``QRat.__add__``.  Used by the
-    series and polynomial inner loops, where per-term normalization would
-    dominate the runtime.
+    Factored terms are kept unreduced, summed per exponent vector.
+    ``value()`` brings the groups over the element-wise minimum of their
+    zero-padded vectors and over the lcm of their integer denominators,
+    with no gcd: it evaluates every group times its Phi cofactor at one
+    point q = 256^w, adds the results as Python ints and unpacks a
+    nonzero sum once, then runs the trial divisions that make the sum
+    canonical.  The slot width w comes from a bound on every coefficient
+    of the sum.  Generic terms are summed apart by ``QRat.__add__``.
+    Used by the series and polynomial inner loops, where per-term
+    normalization would dominate the runtime.
     """
 
     __slots__ = ("_groups", "_rest")
@@ -530,19 +527,18 @@ class FracAcc:
     def sub(self, r: QRat) -> None:
         self.add(-r)
 
-    def add_raw(self, m: dict, n: QPoly) -> None:
-        """Add Phi^m n for an exponent map m; n need not be reduced."""
+    def add_raw(self, m: tuple, n: QPoly) -> None:
+        """Add Phi^m n for an exponent vector m; n need not be reduced."""
         if n._ints:
-            key = tuple(sorted(m.items()))
             groups = self._groups
-            groups[key] = groups[key] + n if key in groups else n
+            groups[m] = groups[m] + n if m in groups else n
 
     def add_product(self, a: QRat, b: QRat) -> None:
         """Add a*b without canonicalizing the intermediate product."""
         if a._m is None or b._m is None:
             self._rest = self._rest + a * b
         elif a and b:
-            self.add_raw(_madd(a._m, b._m), a._n * b._n)
+            self.add_raw(_vadd(a._m, b._m), a._n * b._n)
 
     def sub_product(self, a: QRat, b: QRat) -> None:
         self.add_product(-a, b)
@@ -551,30 +547,18 @@ class FracAcc:
         groups = [(key, n) for key, n in self._groups.items() if n._ints]
         if not groups:
             return self._rest
-        # The exponent-wise minimum c of the maps, in one pass over the
-        # keys; a Phi_d that some group lacks has exponent 0 there.
-        lo, seen = {}, {}
-        for key, _ in groups:
-            for d, e in key:
-                seen[d] = seen.get(d, 0) + 1
-                if d not in lo or e < lo[d]:
-                    lo[d] = e
-        c = {d: e for d, e in lo.items() if e < 0 or seen[d] == len(groups)}
-        lack = [(d, -e) for d, e in c.items() if e < 0 and seen[d] < len(groups)]
+        # The common factor c is the element-wise minimum of the keys,
+        # padded with zeros: a Phi_d that a key lacks has exponent 0 there.
+        top = max(len(key) for key, _ in groups)
+        keys = [key + (0,) * (top - len(key)) for key, _ in groups]
+        c = [min(col) for col in zip(*keys)]
         den = _int_lcm(*(n._den for _, n in groups))
         # Each part times den/L and its cofactor over c, at q = 256^w: no
         # coefficient of the sum exceeds the sum over the groups of
         # max|part| (den/L) prod |Phi_d|_1^e, the bound the slots hold.
         terms, bound, slots = [], 0, 1
-        for key, part in groups:
-            cof = []
-            for d, e in key:
-                if e > c.get(d, 0):
-                    cof += d, e - c.get(d, 0)
-            if lack:
-                have = dict(key)
-                cof += [x for d, e in lack if d not in have for x in (d, e)]
-            cof = tuple(cof)
+        for key, (_, part) in zip(keys, groups):
+            cof = _vec([e - x for e, x in zip(key, c)])
             scale = den // part._den
             cof_bound, cof_slots = _size(cof)
             bound += max(map(abs, part._ints)) * scale * cof_bound
@@ -586,6 +570,6 @@ class FracAcc:
         if not v:
             return self._rest
         n = _poly(_kron_unpack(v, w, slots), den)
-        # A fresh map, made after the temporaries, so it pins none of their memory.
-        r = _factored(*_cancel(dict(c), n, [d for d, e in c.items() if e < 0]))
+        # The vector is made after the temporaries, so it pins none of their memory.
+        r = _factored(*_cancel(_vec(c), n))
         return r + self._rest if self._rest else r

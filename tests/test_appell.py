@@ -316,6 +316,17 @@ def _sequential_sum(terms) -> XPoly:
     return total
 
 
+def test_float_points_never_enter_the_exact_kernel():
+    p = XPoly([QRat(1), QRat(QPoly((0, 1)))])
+    message = "expected int or Fraction, got float"
+    for call in (lambda: p.evaluate(0.5, 1), lambda: p.evaluate(2, 0.1),
+                 lambda: p.evaluate_x(0.1), lambda: p.evaluate_q(0.5)):
+        with pytest.raises(TypeError, match=message):
+            call()
+    assert p.evaluate(2, Fraction(1, 10)) == Fraction(6, 5)
+    assert p.evaluate_x(3) == QRat(QPoly((1, 3)))
+
+
 def test_sum_matches_sequential_scale_and_add():
     rng = random.Random(41)
 

@@ -61,6 +61,13 @@ def test_poly_latex_hermite(capsys):
     assert out == "\\[ H_{3,q}(x) = x^{3} - \\left(1 + q + q^{2}\\right) x \\]\n"
 
 
+def test_poly_latex_leading_term_has_no_unit_coefficient(capsys):
+    code, out, _ = run_cli(capsys, "poly", "--family", "bernoulli", "--n", "24",
+                           "--format", "latex")
+    assert code == 0
+    assert out.startswith("\\[ B_{24,q}(x) = x^{24} - ")
+
+
 def test_poly_at_q_classical_hermite(capsys):
     code, out, _ = run_cli(capsys, "poly", "--family", "hermite", "--n", "4",
                            "--at-q", "1")

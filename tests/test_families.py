@@ -37,6 +37,16 @@ def test_make_family_order_validation():
         make_family(FamilyKind.BERNOULLI, 1)
 
 
+def test_make_family_is_one_family_per_kind_whatever_the_spelling():
+    from qappell.families import MAX_ORDER
+    for kind in FamilyKind:
+        shared = make_family(kind)
+        assert make_family(kind.value) is shared
+        assert make_family(kind, MAX_ORDER) is shared
+        assert make_family(kind.value, MAX_ORDER) is shared
+        assert make_family(kind.value, 10) is make_family(kind, 10) is not shared
+
+
 def test_make_family_matches_numeric_generator():
     q0 = Fraction(2, 5)
     for kind in FamilyKind:

@@ -235,6 +235,15 @@ def _poly_add(a: list, b: list) -> list:
     return [x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
 
 
+def _vec(m: dict) -> tuple:
+    """The exponent map {d: e} as an exponent vector: index 0 the power
+    of q, index d the exponent of Phi_d, no trailing zeros."""
+    v = [0] * (max(m, default=-1) + 1)
+    for d, e in m.items():
+        v[d] = e
+    return tuple(v)
+
+
 def _check_packed_sum(terms, min_bits: int = 0) -> QRat:
     """FracAcc over terms (m, coeffs), added as Phi^m coeffs by add_raw,
     or (None, (num, den)), added as the QRat num/den, against a Fraction
@@ -246,7 +255,7 @@ def _check_packed_sum(terms, min_bits: int = 0) -> QRat:
             num, den = ([Fraction(c) for c in p] for p in coeffs)
             acc.add(QRat(QPoly(num), QPoly(den)))
         else:
-            acc.add_raw(m, QPoly(coeffs))
+            acc.add_raw(_vec(m), QPoly(coeffs))
             num, den = [Fraction(c) for c in coeffs], [Fraction(1)]
             for d, e in m.items():
                 for _ in range(abs(e)):
@@ -312,7 +321,7 @@ def test_frac_acc_value_bookkeeping_matches_a_fraction_reference():
     # Phi_2 is positive in every group: its least exponent stays a factor.
     r = _check_packed_sum([({2: 2, 3: -1}, [1, 1]), ({2: 1}, [5]),
                            ({2: 3, 0: 1}, [-1, 0, 2])])
-    assert r._m[2] == 1
+    assert r._m == (0, 0, 1, -1)
     # one nonzero group, its Phi_2 and q cancelled, next to a group that
     # cancels by itself and a generic rest
     once = [({2: -1, 0: -1}, [0, 1, 1]), ({4: -1}, [1, 2]), ({4: -1}, [-1, -2])]
@@ -325,18 +334,16 @@ def test_frac_acc_value_bookkeeping_matches_a_fraction_reference():
 
 
 def test_expand_matches_a_schoolbook_product_of_the_phi_lists():
-    """Every key of [n]_q!, [n k]_q and [2m]_q!! for n <= 48, and one
-    with a power of q."""
-    keys = {((0, 3), (2, 1), (3, 2))}
+    """Every exponent vector of [n]_q!, [n k]_q and [2m]_q!! for n <= 48,
+    and one with a power of q."""
+    keys = {(3, 0, 1, 2)}
     for n in range(49):
-        keys.add(tuple(sorted(QRat.q_factorial(n)._m.items())))
-        keys.update(tuple(sorted(QRat.q_binomial(n, k)._m.items()))
-                    for k in range(n + 1))
-    keys.update(tuple(sorted(QRat.q_double_factorial_even(m)._m.items()))
-                for m in range(25))
+        keys.add(QRat.q_factorial(n)._m)
+        keys.update(QRat.q_binomial(n, k)._m for k in range(n + 1))
+    keys.update(QRat.q_double_factorial_even(m)._m for m in range(25))
     for key in keys:
         ref = [1]
-        for d, e in key:
+        for d, e in enumerate(key):
             for _ in range(e):
                 ref = _schoolbook(ref, list(qarith._phi(d)))
         assert list(qarith._expand(key)._ints) == ref, key
@@ -433,6 +440,42 @@ def test_factored_q_constants_expand_to_the_recursive_polynomials():
     for make in (QRat.q_integer, QRat.q_factorial, QRat.q_double_factorial_even):
         with pytest.raises(ValueError):
             make(-1)
+
+
+def test_exponent_vectors_are_canonical():
+    """Every factored value holds its exponents as a tuple without a
+    trailing zero, so equal factors make equal FracAcc keys."""
+    base = [QRat.q_power(k) for k in range(-3, 4)]
+    for n in range(49):
+        base += [QRat.q_integer(n), QRat.q_factorial(n)]
+        base += [QRat.q_binomial(n, k) for k in range(n + 1)]
+    base += [QRat.q_double_factorial_even(m) for m in range(25)]
+    values = list(base)
+    rng = random.Random(12)
+    small = [r for r in base if r.num.degree + r.den.degree <= 40]
+    for _ in range(200):
+        a, b = rng.choice(base), rng.choice(base)
+        values.append(a * b)
+        if b:
+            values += [a / b, b.reciprocal()]
+        a, b = rng.choice(small), rng.choice(small)
+        acc = FracAcc()
+        acc.add(a)
+        acc.sub(b)
+        acc.add_product(a, b)
+        values.append(acc.value())
+    # sums that cancel to 1 and to 0
+    acc = FracAcc()
+    acc.add(QRat.q_factorial(5) / QRat.q_factorial(4))
+    acc.sub(QRat.q_integer(5))
+    acc.add(QRat.q_integer(1))
+    values.append(acc.value())
+    assert values[-1].is_one()
+    values.append(QRat.q_integer(7) - QRat.q_binomial(7, 1))
+    assert values[-1].is_zero()
+    for r in values:
+        assert type(r._m) is tuple and r._m[-1:] != (0,), r._m
+    assert QRat.q_integer(1).is_one() and QRat.q_factorial(1).is_one()
 
 
 def test_factored_and_generic_values_agree():

@@ -9,9 +9,10 @@ workload in ``BENCHMARK.json`` the script runs
 per seed (101 to 110, ten pairs) in each tree, alternating which tree
 runs first, and keeps the final JSON line of every run.  It then runs
 verify-all at ``--trace 1`` once per tree.  The file also records the
-seeds, the pair count, ``platform.platform()`` and ``sys.version``, and
-per end-to-end metric the median and quartiles of each side and the
-number of pairs the change won.  Standard library only; run it on an otherwise idle machine.
+seeds, the pair count, ``platform.platform()`` and ``sys.version``, the
+line count of ``src/**/*.py`` in each tree (``src_lines``), and per
+end-to-end metric the median and quartiles of each side and the number
+of pairs the change won.  Standard library only; run it on an otherwise idle machine.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                           check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/**/*.py`` in `tree`, counted as ``wc -l`` does."""
+    return sum(p.read_text().count("\n") for p in tree.glob("src/**/*.py"))
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -82,6 +88,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "seeds": seeds,
         "order": "parent first on even pair indices, change first on odd",
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
