@@ -90,9 +90,10 @@ def make_family(kind: FamilyKind, order: int = MAX_ORDER) -> AppellFamily:
     `order`.  Without an order it is the one family of its kind that
     every command and check shares; it extends on demand, so no value
     depends on the order.  A kind given as its string value, or the
-    order given as MAX_ORDER, returns the same family: this cache keys
-    on the arguments as given (its ``cache_info()`` counts the calls),
-    and ``_family`` on the normalized pair.
+    order given as MAX_ORDER, returns the same family.  ``_family``
+    holds the families, keyed on the normalized pair; this cache keys on
+    the arguments as spelled, so its ``cache_info()`` counts spellings
+    and its ``cache_clear()`` drops no family.
     """
     if order < 2:
         raise ValueError("family order must be >= 2")

@@ -151,16 +151,15 @@ def _cancel(m: tuple, n: QPoly, held: tuple = ()) -> tuple[tuple, QPoly]:
     to it.  Returns the reduced (m, n)."""
     ints = n._ints
     v = list(m)
-    k = len(held)
     for d, e in enumerate(m):
-        if e >= 0 or d < k and held[d] < 0:
+        if e >= 0 or d < len(held) and held[d] < 0:
             continue
         if d == 0:
-            k = 0
-            while k < -e and not ints[k]:
-                k += 1
-            ints = ints[k:]
-            v[0] += k
+            z = 0
+            while z < -e and not ints[z]:
+                z += 1
+            ints = ints[z:]
+            v[0] += z
         else:
             phi = _phi(d)
             while v[d] < 0 and len(ints) >= len(phi) and _phi_divides(ints, d):

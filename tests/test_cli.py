@@ -210,6 +210,7 @@ def test_inputs_at_the_limits_are_accepted(capsys):
 
 def test_verify_checks_degree_ranges_before_building_families(capsys):
     make_family.cache_clear()
+    families._family.cache_clear()
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--scope", "all", "--max-n", "1"])
     assert exc.value.code == 2
@@ -217,13 +218,16 @@ def test_verify_checks_degree_ranges_before_building_families(capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: h1: empty degree range 2..1"]
     assert make_family.cache_info().misses == 0
+    assert families._family.cache_info().misses == 0
 
 
 def test_verify_all_builds_one_family_per_kind(capsys):
     make_family.cache_clear()
+    families._family.cache_clear()
     assert main(["verify", "--scope", "all", "--max-n", "12"]) == 0
     capsys.readouterr()
     assert make_family.cache_info().misses == 4
+    assert families._family.cache_info().misses == 4
     assert cli.MAX_ORDER is families.MAX_ORDER
 
 

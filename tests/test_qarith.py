@@ -478,6 +478,39 @@ def test_exponent_vectors_are_canonical():
     assert QRat.q_integer(1).is_one() and QRat.q_factorial(1).is_one()
 
 
+def test_cancel_strips_more_powers_of_q_than_the_held_vector_is_long():
+    """Products and sums that strip three or more powers of q from a
+    numerator next to a negative Phi_d, against Fraction arithmetic at
+    sample points of q."""
+    F = Fraction
+    points = [F(2, 3), F(-5, 2), F(7), F(1, 9)]
+
+    def at(p, q):
+        return sum(F(c) * q ** i for i, c in enumerate(p))
+
+    # q^3 / (q^3 [2]_q), and q^-3 + (q^3 - q - 1) q^-3 / [2]_q: both 1/(1 + q)
+    r = QRat(_qpow(3)) / (QRat.q_power(3) * QRat.q_integer(2))
+    s = (QRat.q_power(-3)
+         + QRat(QPoly((-1, -1, 0, 1))) * QRat.q_power(-3) / QRat.q_integer(2))
+    for v in (r, s):
+        assert v == QRat(1, QPoly((1, 1))) and v._m == (0, 0, -1)
+    rng = random.Random(7)
+    for _ in range(150):
+        a, b = rng.randint(0, 6), rng.randint(0, 6)
+        n, k = rng.randint(2, 9), rng.randint(2, 9)
+        p = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+        if not any(p):
+            p[-1] = 1
+        top = QRat(_qpow(a) * QPoly(p))
+        bottom = QRat.q_power(b) * QRat.q_integer(n)
+        quotient = top / bottom
+        total = quotient + QRat.q_power(-b) / QRat.q_integer(k)
+        for q in points:
+            want = q ** a * at(p, q) / (q ** b * at([1] * n, q))
+            assert quotient.evaluate(q) == want, (a, b, n, p)
+            assert total.evaluate(q) == want + q ** -b / at([1] * k, q), (a, b, n, k, p)
+
+
 def test_factored_and_generic_values_agree():
     # [6]_q! / [4]_q! built by exponent arithmetic and by a gcd
     factored = QRat.q_factorial(6) / QRat.q_factorial(4)
