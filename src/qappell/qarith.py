@@ -16,8 +16,8 @@ Gerhard section 8.4), unpacked once; the slot width w comes from a bound
 on every coefficient, and each cofactor's bound and packed value are
 memoized.  A denominator with any other factor, which only custom
 generators and user-built values produce, takes the generic path: the
-canonical pair reduced by ``qpoly_gcd`` (modular gcd, von zur Gathen &
-Gerhard ch. 6).  Sums of many rational functions go through ``FracAcc``,
+canonical pair reduced by ``qpoly_gcd`` (heuristic gcd, Char, Geddes
+& Gonnet 1989).  Sums of many rational functions go through ``FracAcc``,
 which canonicalizes once per result.
 
 The polynomials themselves, ``QPoly`` and ``qpoly_gcd``, live in

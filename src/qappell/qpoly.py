@@ -3,11 +3,12 @@
 A polynomial in Q[q] is stored as Python ints over one positive int
 denominator, the integer part and rational content of von zur Gathen &
 Gerhard, *Modern Computer Algebra*, ch. 6 (see ``QPoly``).  Every
-operation runs on the stored integers: multiplication packs the operands
-into single big integers (Kronecker substitution), and exact division
-and gcd (a modular image verified by exact division, else primitive-PRS
-Euclid) stay in Z; Kronecker slots of 1, 2, 4 or 8 bytes convert
-through ``array`` in C.  The rational functions built on top live in
+operation runs on the stored integers, and products and gcds alike on
+big integers at q = 256^w (Kronecker substitution, ibid. section 8.4):
+a product is one integer multiply, and a gcd one integer gcd, unpacked
+into a candidate that exact division in Z verifies (the heuristic gcd,
+see ``_int_poly_gcd``).  Slots of 1, 2, 4 or 8 bytes convert through
+``array`` in C.  The rational functions built on top live in
 :mod:`qappell.qarith`, which re-exports ``QPoly`` and ``qpoly_gcd``.
 """
 
@@ -142,112 +143,27 @@ def _int_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
-    """Pseudo-remainder of u by v over Z (deg u >= deg v >= 1).
-
-    The lc(v) scaling is skipped whenever it is a no-op, which keeps
-    coefficient growth minimal for the mostly-monic inputs here.
-    """
-    n = len(v) - 1
-    lv = v[-1]
-    r = list(u)
-    while len(r) - 1 >= n:
-        k = len(r) - 1 - n
-        c = r.pop()
-        if lv == 1 or lv == -1:
-            if c:
-                cc = c if lv == 1 else -c
-                for i in range(k, k + n):
-                    r[i] -= cc * v[i - k]
-        else:
-            for i in range(len(r)):
-                ri = lv * r[i]
-                if k <= i:
-                    ri -= c * v[i - k]
-                r[i] = ri
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-_GCD_PRIME = (1 << 61) - 1
-
-
-def _rem_modp(u: list[int], v: list[int], p: int) -> list[int]:
-    """Remainder of u by v over GF(p) (deg v >= 1)."""
-    dv = len(v) - 1
-    inv = pow(v[-1], p - 2, p)
-    vm = [c * inv % p for c in v[:dv]]
-    r = list(u)
-    while len(r) > dv:
-        c = r.pop()
-        if c:
-            k = len(r) - dv
-            for i in range(dv):
-                r[k + i] = (r[k + i] - c * vm[i]) % p
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-def _gcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of the mod-p images (leading coefficients nonzero mod p)."""
-    fa = [c % p for c in a]
-    fb = [c % p for c in b]
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        fa, fb = fb, _rem_modp(fa, fb, p)
-    inv = pow(fa[-1], p - 2, p)
-    return [c * inv % p for c in fa]
-
-
-def _divides(d: list[int], f: list[int]) -> bool:
-    try:
-        _int_div_exact(f, d)
-    except ArithmeticError:
-        return False
-    return True
-
-
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd of primitive integer polynomials.
+    """gcd of nonzero primitive integer polynomials by the heuristic gcd
+    (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989): the primitive
+    part of the balanced base-X digits of h = gcd(a(X), b(X)), X = 256^w.
 
-    A single-prime modular image settles the common cases: a constant
-    image proves the gcd is 1, and a reconstructed candidate verified by
-    exact division in both inputs is the gcd (any common divisor divides
-    the gcd, and the image bounds its degree from above).  Unlucky
-    primes or oversized coefficients fall back to the primitive PRS.
+    Exact, not probabilistic.  X >= 2 max(|a|, |b|) + 2, so a candidate
+    that divides both inputs is their gcd (CGG, Theorem 1).  A failed one
+    is the gcd D times c = gcd(a'(X), b'(X)) for the cofactors a', b',
+    and c divides their nonzero resultant; once X > 2 |Res(a', b')| |D|
+    the digits are exactly c D, so doubling w on failure always ends.
     """
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return [1]
-    p = _GCD_PRIME
-    if a[-1] % p and b[-1] % p:
-        image = _gcd_modp(a, b, p)
-        if len(image) == 1:
-            return [1]
-        gamma = _int_gcd(a[-1], b[-1])
-        half = p >> 1
-        cand = []
-        for c in image:
-            c = c * gamma % p
-            cand.append(c - p if c > half else c)
-        cand = _primitive(cand)
-        if cand and _divides(cand, a) and _divides(cand, b):
-            return cand
+    w = _width(2 * max(map(abs, a + b)) + 2)
     while True:
-        r = _primitive(_pseudo_rem(a, b))
-        if not r:
-            return b
-        if len(r) == 1:
-            return [1]
-        a, b = b, r
+        h = _int_gcd(_kron_pack(a, w), _kron_pack(b, w))
+        g = _primitive(_kron_unpack(h, w, h.bit_length() // (8 * w) + 2))
+        try:
+            _int_div_exact(a, g)
+            _int_div_exact(b, g)
+            return g
+        except ArithmeticError:
+            w *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +183,7 @@ class QPoly:
     __slots__ = ("_ints", "_den", "_hash")
 
     def __new__(cls, coeffs=()):
-        if isinstance(coeffs, (int, Fraction)):
+        if not hasattr(coeffs, "__iter__"):
             coeffs = (coeffs,)
         cs = [_as_fraction(c) for c in coeffs]
         den = _int_lcm(*(c.denominator for c in cs))
@@ -434,17 +350,10 @@ P_ONE = QPoly(1)
 
 def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """gcd in Q[q], returned with primitive integer coefficients and a
-    positive leading coefficient (the zero polynomial only for gcd(0, 0)).
-
-    Each input's power of q is split off first, since
-    gcd(q^i f, q^j g) = q^min(i, j) gcd(f, g) for f, g prime to q, and
-    the modular gcd slows down sharply on inputs of high q-adic
-    valuation.
+    positive leading coefficient (the zero polynomial only for gcd(0, 0)):
+    by Gauss's lemma, the heuristic gcd of the primitive parts in Z[q].
     """
     ia, ib = a._ints, b._ints
     if not ia or not ib:
         return _poly(_primitive(list(ia or ib)))
-    va = next(i for i, c in enumerate(ia) if c)
-    vb = next(i for i, c in enumerate(ib) if c)
-    g = _int_poly_gcd(_primitive(list(ia[va:])), _primitive(list(ib[vb:])))
-    return _poly([0] * min(va, vb) + g)
+    return _poly(_int_poly_gcd(_primitive(list(ia)), _primitive(list(ib))))

@@ -320,7 +320,9 @@ def test_float_points_never_enter_the_exact_kernel():
     p = XPoly([QRat(1), QRat(QPoly((0, 1)))])
     message = "expected int or Fraction, got float"
     for call in (lambda: p.evaluate(0.5, 1), lambda: p.evaluate(2, 0.1),
-                 lambda: p.evaluate_x(0.1), lambda: p.evaluate_q(0.5)):
+                 lambda: p.evaluate_x(0.1), lambda: p.evaluate_q(0.5),
+                 lambda: QPoly(0.5), lambda: QRat(0.5), lambda: QRat(1, 0.5),
+                 lambda: XPoly([0.5])):
         with pytest.raises(TypeError, match=message):
             call()
     assert p.evaluate(2, Fraction(1, 10)) == Fraction(6, 5)
@@ -364,15 +366,27 @@ def test_non_cyclotomic_generator_passes_the_general_identities():
     """A generator whose coefficient denominators have the factors 1 + 2q
     and q^2 + q + 2, which no exponent map covers: its numbers take the
     generic path, mixed with the factored q-constants, and the theorems
-    about every q-Appell family still hold."""
+    about every q-Appell family still hold.  The second input,
+    c_0 = 1, c_n = c_{n-1}/(2 + q + q^2) + q/(3 + q^2) at order 12, takes
+    the generic path at depth: its alphas reach denominator degree 44."""
     order = 7
     coeffs = [QRat(1), QRat(QPoly((0, 1)), QPoly((1, 2))),
               QRat(1, QPoly((2, 1, 1))), QRat(QPoly((3, 0, 1)), QPoly((1, 2)) * Q3)]
     coeffs += [QRat(QPoly((1, -1, k))) for k in range(order + 1 - len(coeffs))]
-    fam = AppellFamily("non-cyclotomic", Series(coeffs))
-    assert fam.numbers(1)[1]._m is None
-    assert fam.numbers(3)[3].den.coeffs[0] == Fraction(1, 2)
-    for report in (verify_recurrence_range(fam, 1, order - 1),
-                   verify_difference_range(fam, 1, order - 1),
-                   verify_lowering_range(fam, order)):
-        assert report.passed, report.theorem_id
+    deep = [QRat(1)]
+    for _ in range(12):
+        deep.append(deep[-1] / QPoly((2, 1, 1)) + QRat(QPoly((0, 1)), QPoly((3, 0, 1))))
+    shallow, deep = (AppellFamily("non-cyclotomic", Series(cs)) for cs in (coeffs, deep))
+    assert shallow.numbers(1)[1]._m is None
+    assert shallow.numbers(3)[3].den.coeffs[0] == Fraction(1, 2)
+    q0 = Fraction(1, 2)
+    for fam in (shallow, deep):
+        order = fam.order
+        for report in (verify_recurrence_range(fam, 1, order - 1),
+                       verify_difference_range(fam, 1, order - 1),
+                       verify_lowering_range(fam, order)):
+            assert report.passed, report.theorem_id
+        alphas = fam.alphas(order - 1)
+        assert ([a.evaluate(q0) for a in alphas]
+                == _numeric_alphas(fam.generator.coeffs, order - 1, q0))
+    assert max(a.den.degree for a in alphas) == 44

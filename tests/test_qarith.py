@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qappell import qarith
+from qappell import qarith, qpoly
 from qappell.qarith import (FracAcc, P_ONE, P_ZERO, PoleError, QPoly, QRat,
                             q_binomial, q_double_factorial_even, q_factorial,
                             q_integer, qpoly_gcd)
@@ -370,6 +370,37 @@ def test_qpoly_gcd_splits_off_the_power_of_q():
         assert got == _qpow(min(a, b)) * base, (a, b)
     assert qpoly_gcd(_qpow(4), _qpow(9) * f) == _qpow(4)
     assert qpoly_gcd(_qpow(3) * f, P_ZERO) == _qpow(3) * f
+
+
+def test_qpoly_gcd_retries_at_a_doubled_width(monkeypatch):
+    """At the first width the integer gcd carries a spurious factor whose
+    digits do not divide both inputs, so the heuristic gcd packs again at
+    twice the width."""
+    widths = []
+    pack = qpoly._kron_pack
+
+    def counted(v, w):
+        widths.append(w)
+        return pack(v, w)
+
+    monkeypatch.setattr(qpoly, "_kron_pack", counted)
+    for a, b, g in (([2, 1, -3, 0, 2], [-1, -1, 3, -3, 2], [1]),
+                    ([-2, -2, 7, -6, 2], [-4, 10, -2, -3, 3], [2, -2, 1])):
+        widths.clear()
+        assert qpoly_gcd(QPoly(a), QPoly(b)) == QPoly(g)
+        assert widths == [1, 1, 2, 2]
+
+
+def test_qpoly_gcd_finds_a_common_factor_of_large_coefficients():
+    rng = random.Random(2026)
+
+    def poly(deg):
+        return QPoly([rng.getrandbits(300) - (1 << 299) for _ in range(deg)]
+                     + [rng.getrandbits(300) | 1])
+
+    g, a, b = poly(20), poly(40), poly(39)
+    primitive = g.scale(Fraction(1, math.gcd(*(int(c) for c in g.coeffs))))
+    assert qpoly_gcd(a * g, b * g) == primitive
 
 
 def test_qrat_with_a_high_power_of_q_canonicalizes():

@@ -8,7 +8,10 @@ workload in ``BENCHMARK.json`` the script runs
 ``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds`` once
 per seed (101 to 110, ten pairs) in each tree, alternating which tree
 runs first, and keeps the final JSON line of every run.  It then runs
-verify-all at ``--trace 1`` once per tree.  The file also records the
+verify-all at ``--trace 1`` five times per tree (seeds 101 to 105,
+alternating in the same way), since per-layer self times swing more than
+2x between runs of one tree; it keeps every traced run and writes each
+side's per-metric median.  The file also records the
 seeds, the pair count, ``platform.platform()`` and ``sys.version``, the
 line count of ``src/**/*.py`` in each tree (``src_lines``), and per
 end-to-end metric the median and quartiles of each side and the number
@@ -29,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_WORKLOAD = "verify-all"
 PAIRS = 10
+TRACE_PAIRS = 5
 FIRST_SEED = 101
 
 
@@ -69,6 +73,31 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def alternate(trees: dict[str, Path], workload: str, seeds: list[int],
+              seconds: float, trace: int) -> list[dict]:
+    """One run per tree and seed, parent first on even pair indices and
+    change first on odd: one dict per pair."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": sides[0]}
+        for side in sides:
+            start = time.perf_counter()
+            pair[side] = run_bench(trees[side], workload, seed, seconds, trace)
+            print(f"{workload} trace {trace} seed {seed} {side}: "
+                  f"{time.perf_counter() - start:.0f} s", file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
+def trace_medians(pairs: list[dict]) -> dict:
+    """Each side's median per traced metric over the pairs."""
+    return {side: {name: statistics.median(p[side]["metrics"][name]["value"]
+                                           for p in pairs)
+                   for name in pairs[0][side]["metrics"]}
+            for side in ("parent", "change")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/bench_record.py")
     parser.add_argument("--parent", type=Path, required=True)
@@ -87,26 +116,18 @@ def main(argv=None) -> int:
                    f"--seconds {seconds} --trace 0|1",
         "pairs": PAIRS,
         "seeds": seeds,
+        "trace_pairs": TRACE_PAIRS,
         "order": "parent first on even pair indices, change first on odd",
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
-        pairs = []
-        for i, seed in enumerate(seeds):
-            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": sides[0]}
-            for side in sides:
-                start = time.perf_counter()
-                pair[side] = run_bench(trees[side], workload, seed, seconds, 0)
-                print(f"{workload} seed {seed} {side}: "
-                      f"{time.perf_counter() - start:.0f} s", file=sys.stderr)
-            pairs.append(pair)
+        pairs = alternate(trees, workload, seeds, seconds, 0)
         result["workloads"][workload] = {"runs": pairs,
                                          "summary": summarize(pairs, better)}
+    traces = alternate(trees, TRACE_WORKLOAD, seeds[:TRACE_PAIRS], seconds, 1)
     result["workloads"][TRACE_WORKLOAD]["trace"] = {
-        side: run_bench(tree, TRACE_WORKLOAD, seeds[0], seconds, 1)
-        for side, tree in trees.items()}
+        "runs": traces, "median": trace_medians(traces)}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
