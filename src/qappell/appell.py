@@ -38,18 +38,12 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .qarith import FracAcc, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO
-from .qpoly import _as_fraction
-from .qseries import Series
+from .qarith import FracAcc, QRat, QRAT_Q, QRAT_ZERO, _as_qrat, solve_step
+from .qpoly import TEXT, Spelling, _as_fraction, join_terms
+from .qseries import Series, jackson, scale_powers
 
 # The factored q-constants: q^e, [n]_q, [n]_q! and [n k]_q.
 _qp, _qi, _qf, _qb = QRat.q_power, QRat.q_integer, QRat.q_factorial, QRat.q_binomial
-
-
-def _as_qrat(c) -> QRat:
-    if isinstance(c, QRat):
-        return c
-    return QRat(c)
 
 
 class XPoly:
@@ -70,10 +64,6 @@ class XPoly:
     @classmethod
     def zero(cls) -> XPoly:
         return cls()
-
-    @classmethod
-    def monomial(cls, c, k: int) -> XPoly:
-        return cls((QRAT_ZERO,) * k + (_as_qrat(c),))
 
     @property
     def degree(self) -> int:
@@ -128,21 +118,11 @@ class XPoly:
 
     def scale_x(self, c) -> XPoly:
         """Substitute x -> c*x: the x^k coefficient picks up c^k."""
-        c = _as_qrat(c)
-        out = []
-        power = QRAT_ONE
-        for k, a in enumerate(self.coeffs):
-            out.append(a if k == 0 else a * power)
-            power = power * c
-        return XPoly(out)
+        return XPoly(scale_powers(self.coeffs, _as_qrat(c)))
 
     def q_derivative(self) -> XPoly:
         """Jackson derivative in x: x^n -> [n]_q x^(n-1)."""
-        out = []
-        for n in range(1, len(self.coeffs)):
-            a = self.coeffs[n]
-            out.append(a * _qi(n))
-        return XPoly(out)
+        return XPoly(jackson(self.coeffs))
 
     def q_derivatives(self, upto: int) -> list[XPoly]:
         """[p, D p, ..., D^upto p], each taken from the one before."""
@@ -172,51 +152,28 @@ class XPoly:
         return acc
 
     def __str__(self) -> str:
-        def term(k: int, mag: QRat, composite: bool) -> str:
-            if k == 0:
-                return str(mag)
-            var = "x" if k == 1 else f"x^{k}"
-            if mag.is_one():
-                return var
-            return f"({mag})*{var}" if composite else f"{mag}*{var}"
-        return signed_terms(self, term)
+        return signed_terms(self, str, TEXT)
 
     def __repr__(self) -> str:
         return f"XPoly({self})"
 
 
-def signed_terms(p: XPoly, term) -> str:
+def signed_terms(p: XPoly, write, spelling: Spelling) -> str:
     """Lay out p in descending x-powers.  A coefficient whose nonzero
     numerator terms are all negative has -1 factored out; the sign goes
-    into the join and ``term(k, magnitude, composite)`` renders the rest,
-    where composite means the magnitude needs brackets before a power
-    of x."""
-    parts = []
+    into the join and ``write(magnitude)`` spells the rest, which is
+    composite, bracketed before a power of x, when it is a fraction or
+    a sum."""
+    terms = []
     for k in range(p.degree, -1, -1):
         c = p.coeffs[k]
         nonzero = [a for a in c.num.coeffs if a]
-        if not nonzero:
-            continue
-        negative = all(a < 0 for a in nonzero)
-        mag = -c if negative else c
-        composite = not mag.den.is_one() or len(nonzero) > 1
-        if parts:
-            parts.append(" - " if negative else " + ")
-        elif negative:
-            parts.append("-")
-        parts.append(term(k, mag, composite))
-    return "".join(parts) or "0"
-
-
-def solve_step(rhs: QRat, terms, pivot: QRat) -> QRat:
-    """One row of a triangular solve: (rhs - sum of a*b over the (a, b)
-    pairs of terms) / pivot.  The products go through one FracAcc
-    unreduced, so the row is canonicalized once."""
-    acc = FracAcc()
-    acc.add(rhs)
-    for a, b in terms:
-        acc.sub_product(a, b)
-    return acc.value() / pivot
+        if nonzero:
+            negative = all(a < 0 for a in nonzero)
+            mag = -c if negative else c
+            terms.append((k, negative, write(mag),
+                          not mag.den.is_one() or len(nonzero) > 1))
+    return join_terms(terms, "x", spelling)
 
 
 def divided_power_series(values) -> Series:
@@ -244,13 +201,6 @@ class AppellFamily:
     """
 
     def __init__(self, name: str, generator: Series):
-        v = generator.valuation()
-        if v is None:
-            raise ValueError("generator is identically zero")
-        if v > 1:
-            raise ValueError(
-                "generator vanishes to order >= 2 at t = 0; the alpha "
-                "quotient does not determine a power series")
         coeffs = generator.coeffs
         self._start(name, generator.order, lambda n, _: coeffs[n] * _qf(n))
         self._generator = generator
@@ -272,7 +222,13 @@ class AppellFamily:
         self._alphas: list[QRat] = []
         self._polys: dict[int, XPoly] = {}
         self._generator: Series | None = None
-        self.shifted = self.numbers(0)[0].is_zero()
+        head = self.numbers(1 if order > 0 else 0)
+        self.shifted = head[0].is_zero()
+        if self.shifted and (len(head) == 1 or head[1].is_zero()):
+            raise ValueError(
+                "A_0 = 0 and A_1 is zero or past the order: the generator "
+                "vanishes to order >= 2 at t = 0, and the alpha quotient "
+                "does not determine a power series")
 
     def _numbers_upto(self, upto: int) -> list[QRat]:
         # The caller holds the lock.

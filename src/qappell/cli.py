@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import render, reports
-from .appell import DegreeRangeError
+from .appell import DegreeRangeError, XPoly
 from .families import MAX_ORDER, FamilyKind, make_family
 from .qarith import PoleError
 
@@ -135,19 +135,19 @@ def cmd_poly(args) -> int:
     payload = {"family": args.family, "n": args.n}
     for key, point in (("at_q", args.at_q), ("at_x", args.at_x)):
         if point is not None:
-            payload[key] = render.fraction_to_str(point)
+            payload[key] = str(point)
     lhs = f"{_FAMILY_SYMBOLS[args.family]}_{{{args.n},q}}"
     lhs += "(x)" if args.at_x is None else f"({args.at_x})"
     if args.at_q is not None and args.at_x is not None:
         value = poly.evaluate(args.at_q, args.at_x)
-        payload["value"] = render.fraction_to_str(value)
+        payload["value"] = str(value)
         return _write(args, payload, lambda: [(args.n, payload["value"])],
                       lambda: [(lhs, render.fraction_latex(value))])
     if args.at_q is not None:
         coeffs = poly.evaluate_q(args.at_q)
-        payload["coeffs"] = [render.fraction_to_str(c) for c in coeffs]
+        payload["coeffs"] = [str(c) for c in coeffs]
         return _write(args, payload, lambda: enumerate(payload["coeffs"]),
-                      lambda: [(lhs, _classical_latex(coeffs))])
+                      lambda: [(lhs, render.xpoly_latex(XPoly(coeffs)))])
     if args.at_x is not None:
         value = poly.evaluate_x(args.at_x)
         payload["value"] = render.qrat_to_json(value)
@@ -157,12 +157,6 @@ def cmd_poly(args) -> int:
     return _write(args, payload, lambda: (
         (k, str(poly.coefficient(k))) for k in range(max(poly.degree, 0) + 1)),
         lambda: [(lhs, render.xpoly_latex(poly))])
-
-
-def _classical_latex(coeffs) -> str:
-    from .qarith import QPoly, QRat
-    from .appell import XPoly
-    return render.xpoly_latex(XPoly([QRat(QPoly(c)) for c in coeffs]))
 
 
 def cmd_alpha(args) -> int:

@@ -31,11 +31,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qarith import QRat, QRAT_ONE, QRAT_ZERO
+from .qarith import QRat, QRAT_ONE, QRAT_ZERO, solve_step
 from .qseries import Series
 from .appell import (AppellFamily, XPoly, _qb, _qf, _qi, _qp,
-                     difference_form, divided_power_series, recurrence_form,
-                     solve_step)
+                     difference_form, divided_power_series, recurrence_form)
 
 
 class FamilyKind(str, Enum):

@@ -27,6 +27,8 @@ from .families import (DiscrepancyReport, FamilyKind,
 
 
 def _bare_series_sum(n: int) -> XPoly:
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     coeffs = [QRAT_ZERO] * (n + 1)
     for k in range(n // 2 + 1):
         c = _qp(k * (k - 1)) / (QRat.q_double_factorial_even(k) * _qf(n - 2 * k))
@@ -36,15 +38,11 @@ def _bare_series_sum(n: int) -> XPoly:
 
 def hermite_series_form(n: int) -> XPoly:
     """H_n(x) as the normalized explicit sum; equals the family polynomial."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
     return _bare_series_sum(n).scale(_qf(n))
 
 
 def printed_series_form(n: int) -> XPoly:
     """The bare explicit sum without the [n]_q! factor, exactly as printed."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
     return _bare_series_sum(n)
 
 

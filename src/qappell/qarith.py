@@ -17,8 +17,11 @@ on every coefficient, and each cofactor's bound and packed value are
 memoized.  A denominator with any other factor, which only custom
 generators and user-built values produce, takes the generic path: the
 canonical pair reduced by ``qpoly_gcd`` (heuristic gcd, Char, Geddes
-& Gonnet 1989).  Sums of many rational functions go through ``FracAcc``,
-which canonicalizes once per result.
+& Gonnet 1989); ``_pair`` is the one exit from a pair to either form.
+Sums of many rational functions go through ``FracAcc``, which
+canonicalizes once per result, and one row of a triangular solve is
+``solve_step``.  An int, Fraction or QPoly operand or coefficient is
+coerced by one rule, ``_as_qrat``, and anything else is refused.
 
 The polynomials themselves, ``QPoly`` and ``qpoly_gcd``, live in
 :mod:`qappell.qpoly` and are re-exported here.  q stays symbolic
@@ -32,7 +35,7 @@ freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import lcm as _int_lcm
 from operator import add
 
@@ -174,6 +177,28 @@ def _cancel(m: tuple, n: QPoly, held: tuple = ()) -> tuple[tuple, QPoly]:
 # Rational functions in q
 
 
+def _as_qrat(c) -> QRat:
+    """c as a QRat: a QRat as is, an int, Fraction or QPoly converted."""
+    if isinstance(c, QRat):
+        return c
+    if isinstance(c, (int, Fraction, QPoly)):
+        return QRat(c)
+    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+
+
+def _operand(op):
+    """A binary QRat operator that also takes an int, Fraction or QPoly
+    operand, and returns NotImplemented for any other type."""
+    @wraps(op)
+    def coerced(self, other):
+        if isinstance(other, QRat):
+            return op(self, other)
+        if isinstance(other, (int, Fraction, QPoly)):
+            return op(self, QRat(other))
+        return NotImplemented
+    return coerced
+
+
 class QRat:
     """Rational function in q.
 
@@ -211,11 +236,7 @@ class QRat:
             if g.degree > 0:
                 num = num.div_exact(g)
                 den = den.div_exact(g)
-            return _pair(num, den)
-        # den = c q^w: scale by 1/c and cancel the common power of q.
-        if not den.is_one():
-            num = num._times(den._den, den._ints[-1])
-        return _factored(*_cancel((-den.degree,) if den.degree else (), num))
+        return _pair(num, den)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -285,11 +306,8 @@ class QRat:
     def __bool__(self) -> bool:
         return bool(self._n._ints)
 
+    @_operand
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QRat):
-            if not isinstance(other, (int, Fraction, QPoly)):
-                return NotImplemented
-            other = QRat(other)
         if self._m is not None and self._m == other._m:
             return self._n == other._n
         return self.num == other.num and self.den == other.den
@@ -306,11 +324,8 @@ class QRat:
         r._den = self._den
         return r
 
+    @_operand
     def __add__(self, other) -> QRat:
-        if not isinstance(other, QRat):
-            if not isinstance(other, (int, Fraction, QPoly)):
-                return NotImplemented
-            other = QRat(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -324,21 +339,15 @@ class QRat:
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other) -> QRat:
-        if not isinstance(other, QRat):
-            if not isinstance(other, (int, Fraction, QPoly)):
-                return NotImplemented
-            other = QRat(other)
         return self + (-other)
 
     def __rsub__(self, other) -> QRat:
         return QRat(other) - self
 
+    @_operand
     def __mul__(self, other) -> QRat:
-        if not isinstance(other, QRat):
-            if not isinstance(other, (int, Fraction, QPoly)):
-                return NotImplemented
-            other = QRat(other)
         if self.is_zero() or other.is_zero():
             return QRAT_ZERO
         ma, mb = self._m, other._m
@@ -357,11 +366,8 @@ class QRat:
 
     __rmul__ = __mul__
 
+    @_operand
     def __truediv__(self, other) -> QRat:
-        if not isinstance(other, QRat):
-            if not isinstance(other, (int, Fraction, QPoly)):
-                return NotImplemented
-            other = QRat(other)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other) -> QRat:
@@ -423,8 +429,9 @@ def _generic(num: QPoly, den: QPoly) -> QRat:
 
 
 def _pair(num: QPoly, den: QPoly) -> QRat:
-    """The value num/den of a coprime pair: rescaled to a monic
-    denominator, and factored when that denominator is a power of q."""
+    """The value num/den, for a pair coprime unless den is c q^w:
+    rescaled to a monic denominator, and factored, with the common
+    power of q cancelled, when that denominator is a power of q."""
     if num.is_zero():
         return QRAT_ZERO
     lead, scale = den._ints[-1], den._den
@@ -432,7 +439,7 @@ def _pair(num: QPoly, den: QPoly) -> QRat:
         num, den = num._times(scale, lead), _poly(list(den._ints), lead)
     if any(den._ints[:-1]):
         return _generic(num, den)
-    return _factored((-den.degree,) if den.degree else (), num)
+    return _factored(*_cancel((-den.degree,) if den.degree else (), num))
 
 
 def _add_pairs(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRat:
@@ -494,6 +501,17 @@ def q_double_factorial_even(m: int) -> QPoly:
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial [n k]_q, zero outside 0 <= k <= n."""
     return QRat.q_binomial(n, k).num
+
+
+def solve_step(rhs: QRat, terms, pivot: QRat) -> QRat:
+    """One row of a triangular solve: (rhs - sum of a*b over the (a, b)
+    pairs of terms) / pivot.  The products go through one FracAcc
+    unreduced, so the row is canonicalized once."""
+    acc = FracAcc()
+    acc.add(rhs)
+    for a, b in terms:
+        acc.sub_product(a, b)
+    return acc.value() / pivot
 
 
 class FracAcc:

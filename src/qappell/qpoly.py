@@ -10,6 +10,8 @@ into a candidate that exact division in Z verifies (the heuristic gcd,
 see ``_int_poly_gcd``).  Slots of 1, 2, 4 or 8 bytes convert through
 ``array`` in C.  The rational functions built on top live in
 :mod:`qappell.qarith`, which re-exports ``QPoly`` and ``qpoly_gcd``.
+Every printed polynomial, in q or in x, text or LaTeX, is laid out by
+``join_terms`` under a ``Spelling``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 from array import array
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
+from typing import NamedTuple
 
 
 _F0 = Fraction(0)
@@ -167,6 +170,40 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Printed layout
+
+
+class Spelling(NamedTuple):
+    """How a writer spells v^k, c times v^k, and c in brackets."""
+
+    power: str
+    product: str
+    brackets: str
+
+
+TEXT = Spelling("{}^{}", "{}*{}", "({})")
+LATEX = Spelling("{}^{{{}}}", "{} {}", "\\left({}\\right)")
+
+
+def join_terms(terms, var: str, spelling: Spelling) -> str:
+    """Lay out the terms c v^k, given as (k, negative, text, composite)
+    in print order: a leading "-", then " - " or " + " between terms,
+    and "0" for none.  A term is the text of |c| at k = 0, v^k alone
+    when that text is "1", and else the text, bracketed if composite,
+    times v^k."""
+    parts = []
+    for k, negative, text, composite in terms:
+        parts.append((" - " if negative else " + ") if parts
+                     else "-" if negative else "")
+        if k:
+            power = var if k == 1 else spelling.power.format(var, k)
+            text = power if text == "1" else spelling.product.format(
+                spelling.brackets.format(text) if composite else text, power)
+        parts.append(text)
+    return "".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
 # Polynomials in q
 
 
@@ -304,23 +341,12 @@ class QPoly:
         return _poly([c * d._den for c in quot], self._den * cb)
 
     def __str__(self) -> str:
-        if not self._ints:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "q" if k == 1 else f"q^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        return self.layout(str, TEXT)
+
+    def layout(self, write, spelling: Spelling) -> str:
+        """Ascending q-powers, each magnitude spelled by write(Fraction)."""
+        return join_terms(((k, c < 0, write(abs(c)), False)
+                           for k, c in enumerate(self.coeffs) if c), "q", spelling)
 
     def __repr__(self) -> str:
         return f"QPoly({self})"

@@ -3,14 +3,14 @@
 A series carries coefficients for t^0 .. t^N where N is its order.  The
 order is fixed at construction and operations never extend it silently:
 binary operations demand equal orders, and division shrinks the order by
-the valuation of the divisor.
+the valuation of the divisor, solving one ``solve_step`` row per
+coefficient.  ``scale_powers`` (v -> cv) and ``jackson`` (the Jackson
+derivative) act on coefficient sequences, so ``XPoly`` shares them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .qarith import FracAcc, QPoly, QRat, QRAT_ONE, QRAT_ZERO
+from .qarith import FracAcc, QRat, QRAT_ONE, QRAT_ZERO, _as_qrat, solve_step
 
 
 class OrderMismatchError(ValueError):
@@ -26,12 +26,21 @@ class CancellationError(ArithmeticError):
     divisor's valuation, so the common t-power does not cancel."""
 
 
-def _as_qrat(c) -> QRat:
-    if isinstance(c, QRat):
-        return c
-    if isinstance(c, (int, Fraction, QPoly)):
-        return QRat(c)
-    raise TypeError(f"expected a QRat-coercible coefficient, got {type(c).__name__}")
+def scale_powers(coeffs, c: QRat) -> list[QRat]:
+    """The coefficients a_k c^k: the substitution v -> c*v in
+    sum a_k v^k, for series in t and polynomials in x alike."""
+    out = []
+    power = QRAT_ONE
+    for k, a in enumerate(coeffs):
+        out.append(a if k == 0 else a * power)
+        power = power * c
+    return out
+
+
+def jackson(coeffs) -> list[QRat]:
+    """The coefficients [k]_q a_k, k >= 1, of the Jackson derivative of
+    sum a_k v^k, for series in t and polynomials in x alike."""
+    return [coeffs[k] * QRat.q_integer(k) for k in range(1, len(coeffs))]
 
 
 class Series:
@@ -152,14 +161,10 @@ class Series:
                     f"divisor valuation {m}")
         a = self.coeffs[m:]
         bb = b.coeffs[m:]
-        inv = bb[0].reciprocal()
         out: list[QRat] = []
         for n in range(len(a)):
-            acc = FracAcc()
-            acc.add(a[n])
-            for j in range(1, min(n, len(bb) - 1) + 1):
-                acc.sub_product(bb[j], out[n - j])
-            out.append(acc.value() * inv)
+            out.append(solve_step(a[n], ((bb[j], out[n - j])
+                                         for j in range(1, n + 1)), bb[0]))
         return Series(out)
 
     def scale(self, c) -> Series:
@@ -169,24 +174,14 @@ class Series:
 
     def scale_arg(self, c) -> Series:
         """Substitute t -> c*t: the t^n coefficient picks up c^n."""
-        c = _as_qrat(c)
-        out = []
-        power = QRAT_ONE
-        for n, a in enumerate(self.coeffs):
-            out.append(a if n == 0 else a * power)
-            power = power * c
-        return Series(out)
+        return Series(scale_powers(self.coeffs, _as_qrat(c)))
 
     def q_derivative(self) -> Series:
         """Jackson derivative in t: the t^n coefficient becomes
         [n+1]_q * a_{n+1}; the order drops by one."""
         if self.order < 1:
             raise ValueError("q_derivative needs order >= 1")
-        out = []
-        for n in range(1, self.order + 1):
-            a = self.coeffs[n]
-            out.append(a * QRat.q_integer(n))
-        return Series(out)
+        return Series(jackson(self.coeffs))
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:5])

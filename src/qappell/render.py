@@ -22,17 +22,12 @@ import json
 from fractions import Fraction
 
 from .qarith import QPoly, QRat
+from .qpoly import LATEX
 from .appell import XPoly, signed_terms
 
 
-def fraction_to_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def qpoly_to_json(p: QPoly) -> list[str]:
-    return [fraction_to_str(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def qpoly_from_json(data) -> QPoly:
@@ -52,7 +47,11 @@ def xpoly_to_json(p: XPoly) -> dict:
 
 
 def xpoly_from_json(data) -> XPoly:
-    return XPoly([qrat_from_json(c) for c in data["coeffs"]])
+    p = XPoly([qrat_from_json(c) for c in data["coeffs"]])
+    if p.degree != data["n"]:
+        raise ValueError(f"XPoly JSON gives n = {data['n']}, but its "
+                         f"coefficients have degree {p.degree}")
+    return p
 
 
 def dumps(obj) -> str:
@@ -85,23 +84,7 @@ def fraction_latex(c: Fraction) -> str:
 
 
 def qpoly_latex(p: QPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = fraction_latex(mag)
-        else:
-            var = "q" if k == 1 else f"q^{{{k}}}"
-            body = var if mag == 1 else f"{fraction_latex(mag)} {var}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
-    return "".join(parts)
+    return p.layout(fraction_latex, LATEX)
 
 
 def qrat_latex(r: QRat) -> str:
@@ -110,19 +93,9 @@ def qrat_latex(r: QRat) -> str:
     return f"\\frac{{{qpoly_latex(r.num)}}}{{{qpoly_latex(r.den)}}}"
 
 
-def _latex_term(k: int, mag: QRat, composite: bool) -> str:
-    if k == 0:
-        return qrat_latex(mag)
-    var = "x" if k == 1 else f"x^{{{k}}}"
-    if mag.is_one():
-        return var
-    coeff = qrat_latex(mag)
-    return f"\\left({coeff}\\right) {var}" if composite else f"{coeff} {var}"
-
-
 def xpoly_latex(p: XPoly) -> str:
     """Descending x-powers with explicit q-polynomial coefficients."""
-    return signed_terms(p, _latex_term)
+    return signed_terms(p, qrat_latex, LATEX)
 
 
 def latex_equations(rows) -> str:

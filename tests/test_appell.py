@@ -183,6 +183,26 @@ def test_shifted_generator_flag_and_rejection():
         AppellFamily("worse", Series.zero(6))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AppellFamily.from_numbers("zero", 5, lambda n, _: QRat(0)),
+    lambda: AppellFamily.from_numbers("a2-only", 5, lambda n, _: QRat(int(n == 2))),
+    lambda: AppellFamily.from_numbers("order-0", 0, lambda n, _: QRat(0)),
+    lambda: AppellFamily("t^2", Series([0, 0, 1])),
+    lambda: AppellFamily("order-0", Series([0])),
+], ids=["zero-rule", "a2-only-rule", "zero-rule-order-0", "t-squared",
+        "zero-series-order-0"])
+def test_both_constructors_reject_vanishing_a0_and_a1(build):
+    with pytest.raises(ValueError, match="A_0 = 0 and A_1"):
+        build()
+
+
+def test_shifted_generator_of_order_one_builds():
+    fam = AppellFamily("t", Series([0, 1]))
+    assert fam.shifted and fam.alphas(0) == (QRat.q_power(-1),)
+    rule = AppellFamily.from_numbers("t", 1, lambda n, _: QRat(n))
+    assert rule.shifted and rule.alphas(0) == fam.alphas(0)
+
+
 def test_verify_lowering_examples():
     bern = make_family(FamilyKind.BERNOULLI, 12)
     rep = verify_lowering_range(bern, 5)
@@ -322,9 +342,11 @@ def test_float_points_never_enter_the_exact_kernel():
     for call in (lambda: p.evaluate(0.5, 1), lambda: p.evaluate(2, 0.1),
                  lambda: p.evaluate_x(0.1), lambda: p.evaluate_q(0.5),
                  lambda: QPoly(0.5), lambda: QRat(0.5), lambda: QRat(1, 0.5),
-                 lambda: XPoly([0.5])):
+                 lambda: XPoly([0.5]), lambda: Series([0.5])):
         with pytest.raises(TypeError, match=message):
             call()
+    with pytest.raises(TypeError, match="expected int or Fraction, got list"):
+        XPoly([[1, 1]])
     assert p.evaluate(2, Fraction(1, 10)) == Fraction(6, 5)
     assert p.evaluate_x(3) == QRat(QPoly((1, 3)))
 
@@ -390,3 +412,28 @@ def test_non_cyclotomic_generator_passes_the_general_identities():
         assert ([a.evaluate(q0) for a in alphas]
                 == _numeric_alphas(fam.generator.coeffs, order - 1, q0))
     assert max(a.den.degree for a in alphas) == 44
+
+
+def test_x_and_t_transforms_agree_coefficient_by_coefficient():
+    """XPoly.scale_x and Series.scale_arg, and the two q_derivative
+    methods, give the same coefficients on the same sequence, a
+    non-cyclotomic coefficient and scale factor included."""
+    rng = random.Random(14)
+    pool = [QRat(QPoly([rng.randint(-4, 4) for _ in range(3)]), den)
+            for den in (QPoly(1), Q2, Q3, QPoly((0, 1)), QPoly((1, 2)), QPoly((3, 0, 1)))]
+    for _ in range(6):
+        coeffs = [rng.choice(pool) for _ in range(rng.randint(2, 7))] + [pool[-1]]
+        c = rng.choice(pool[3:])
+        series, poly = Series(coeffs), XPoly(coeffs)
+        scaled = series.scale_arg(c)
+        assert scaled.coeffs == tuple(poly.scale_x(c).coefficient(k)
+                                      for k in range(len(coeffs)))
+        derived = series.q_derivative()
+        assert derived.coeffs == tuple(poly.q_derivative().coefficient(k)
+                                       for k in range(len(coeffs) - 1))
+        q0 = Fraction(1, 3)
+        at = [a.evaluate(q0) for a in coeffs]
+        assert [a.evaluate(q0) for a in scaled.coeffs] == [
+            a * c.evaluate(q0) ** k for k, a in enumerate(at)]
+        assert [a.evaluate(q0) for a in derived.coeffs] == [
+            a * sum(q0 ** i for i in range(k)) for k, a in enumerate(at) if k]

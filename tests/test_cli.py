@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from qappell import cli, families, render
+from qappell.appell import XPoly
+from qappell.qarith import QRat
 from qappell.cli import MAX_N, MAX_ORDER, build_parser, main
 from qappell.families import FamilyKind, make_family
 
@@ -257,6 +259,16 @@ def test_json_round_trip_bytes(capsys):
     re_emitted = render.dumps({"family": "euler", "n": 5,
                                "poly": render.xpoly_to_json(poly)})
     assert re_emitted == out
+
+
+def test_xpoly_json_degree_must_match_n():
+    one = render.qrat_to_json(QRat(1))
+    with pytest.raises(ValueError, match="n = 3"):
+        render.xpoly_from_json({"n": 3, "coeffs": [one]})
+    with pytest.raises(ValueError, match="n = 0"):
+        render.xpoly_from_json({"n": 0, "coeffs": []})
+    assert render.xpoly_from_json({"n": -1, "coeffs": []}).is_zero()
+    assert render.xpoly_from_json({"n": 0, "coeffs": [one]}) == XPoly([1])
 
 
 def test_rendering_is_deterministic(capsys):

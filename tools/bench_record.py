@@ -14,8 +14,12 @@ alternating in the same way), since per-layer self times swing more than
 side's per-metric median.  The file also records the
 seeds, the pair count, ``platform.platform()`` and ``sys.version``, the
 line count of ``src/**/*.py`` in each tree (``src_lines``), and per
-end-to-end metric the median and quartiles of each side and the number
-of pairs the change won.  Standard library only; run it on an otherwise idle machine.
+end-to-end metric the median and quartiles of each side, the number
+of pairs the change won, and ``unresolved``: true when the parent's
+interquartile spread exceeds the metric's ``BENCHMARK.json`` bound times
+the parent median and not every change run reads better than every
+parent run, so the runs cannot tell a move within the bound from noise.
+Standard library only; run it on an otherwise idle machine.
 """
 
 from __future__ import annotations
@@ -51,9 +55,23 @@ def src_lines(tree: Path) -> int:
     return sum(p.read_text().count("\n") for p in tree.glob("src/**/*.py"))
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Median and quartiles per side and the change's wins, per metric,
-    and each side's attempted counts in pair order."""
+def unresolved(parent: list[float], change: list[float], lower: bool,
+               bound: float) -> bool:
+    """Whether the parent's runs spread wider than the bound allows and
+    the change's runs do not all read better than every parent run."""
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    if q3 - q1 <= bound * abs(statistics.median(parent)):
+        return False
+    if lower:
+        return not max(change) < min(parent)
+    return not min(change) > max(parent)
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float]) -> dict:
+    """Median and quartiles per side, the change's wins and whether the
+    metric is unresolved, per metric, and each side's attempted counts
+    in pair order."""
     out = {}
     for name, metric in pairs[0]["parent"]["metrics"].items():
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
@@ -62,7 +80,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(sides["parent"], sides["change"]))
         entry = {"unit": metric["unit"], "better": better[name],
-                 "change_wins": wins, "pairs": len(pairs)}
+                 "change_wins": wins, "pairs": len(pairs),
+                 "unresolved": unresolved(sides["parent"], sides["change"],
+                                          lower, bounds[name])}
         for side, values in sides.items():
             q1, _, q3 = statistics.quantiles(values, n=4)
             entry[side] = {"median": statistics.median(values),
@@ -106,6 +126,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
 
@@ -124,7 +145,7 @@ def main(argv=None) -> int:
     for workload in (w["name"] for w in bench["workloads"]):
         pairs = alternate(trees, workload, seeds, seconds, 0)
         result["workloads"][workload] = {"runs": pairs,
-                                         "summary": summarize(pairs, better)}
+                                         "summary": summarize(pairs, better, bounds)}
     traces = alternate(trees, TRACE_WORKLOAD, seeds[:TRACE_PAIRS], seconds, 1)
     result["workloads"][TRACE_WORKLOAD]["trace"] = {
         "runs": traces, "median": trace_medians(traces)}
