@@ -26,7 +26,8 @@ from .families import (DiscrepancyReport, FamilyKind,
                        first_counterexample, make_family)
 
 
-def _bare_series_sum(n: int) -> XPoly:
+def printed_series_form(n: int) -> XPoly:
+    """The bare explicit sum without the [n]_q! factor, exactly as printed."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     coeffs = [QRAT_ZERO] * (n + 1)
@@ -38,12 +39,7 @@ def _bare_series_sum(n: int) -> XPoly:
 
 def hermite_series_form(n: int) -> XPoly:
     """H_n(x) as the normalized explicit sum; equals the family polynomial."""
-    return _bare_series_sum(n).scale(_qf(n))
-
-
-def printed_series_form(n: int) -> XPoly:
-    """The bare explicit sum without the [n]_q! factor, exactly as printed."""
-    return _bare_series_sum(n)
+    return printed_series_form(n).scale(_qf(n))
 
 
 def recurrence_residual(n: int, fam: AppellFamily | None = None) -> XPoly:

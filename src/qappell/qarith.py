@@ -343,8 +343,9 @@ class QRat:
     def __sub__(self, other) -> QRat:
         return self + (-other)
 
+    @_operand
     def __rsub__(self, other) -> QRat:
-        return QRat(other) - self
+        return other - self
 
     @_operand
     def __mul__(self, other) -> QRat:
@@ -370,8 +371,9 @@ class QRat:
     def __truediv__(self, other) -> QRat:
         return self * other.reciprocal()
 
+    @_operand
     def __rtruediv__(self, other) -> QRat:
-        return QRat(other) / self
+        return other / self
 
     def reciprocal(self) -> QRat:
         if self.is_zero():

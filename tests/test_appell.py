@@ -347,6 +347,9 @@ def test_float_points_never_enter_the_exact_kernel():
             call()
     with pytest.raises(TypeError, match="expected int or Fraction, got list"):
         XPoly([[1, 1]])
+    for call in (lambda: [1, 1] - QRat(1), lambda: [1, 1] / QRat(2)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            call()
     assert p.evaluate(2, Fraction(1, 10)) == Fraction(6, 5)
     assert p.evaluate_x(3) == QRat(QPoly((1, 3)))
 

@@ -358,10 +358,13 @@ def _factored_value(draw, max_n=6):
 @st.composite
 def _generic_value(draw):
     num, den = draw(_ref_poly()), draw(_ref_poly(nonzero=True))
-    den = _ref_mul(den, draw(st.sampled_from(_NON_CYCLOTOMIC)))
+    factor = draw(st.sampled_from(_NON_CYCLOTOMIC))
+    # Both factors are irreducible: unless factor divides num, it stays in
+    # the reduced denominator and the value cannot be factored.
+    hyp.assume(not num or any(_ref_divmod(num, factor)[1]))
+    den = _ref_mul(den, factor)
     value = QRat(QPoly(num), QPoly(den))
-    # A num that den divides reduces to a polynomial, which is factored.
-    hyp.assume(value.is_zero() or value._m is None)
+    assert value.is_zero() or value._m is None
     return value, num, den
 
 

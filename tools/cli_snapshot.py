@@ -1,15 +1,13 @@
 """Byte-identity snapshot of the command line.
 
-  python3 tools/cli_snapshot.py --write tests/golden/cli_snapshot.json
-  python3 tools/cli_snapshot.py --check tests/golden/cli_snapshot.json
+  python3 tools/cli_snapshot.py tests/golden/cli_snapshot.json
 
 Runs every invocation of ``INVOCATIONS`` in one process through
-``qappell.cli.main`` and records, per invocation, the sha256 of its
-stdout, stderr and exit code.  ``--write`` records the golden file;
-``--check`` compares against it and lists the invocations that differ.
-``tests/test_cli_snapshot.py`` runs the same comparison.  A change that
-must not alter any output records the golden on the parent tree, before
-editing ``src/``, and checks it on the change.
+``qappell.cli.main`` and writes, per invocation, the sha256 of its
+stdout, stderr and exit code to the golden file.
+``tests/test_cli_snapshot.py`` compares the same digests against it.  A
+change that must not alter any output records the golden on the parent
+tree, before editing ``src/``, and runs that test on the change.
 """
 
 from __future__ import annotations
@@ -89,23 +87,13 @@ def snapshot() -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/cli_snapshot.py")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", type=Path, metavar="GOLDEN")
-    mode.add_argument("--check", type=Path, metavar="GOLDEN")
+    parser.add_argument("golden", type=Path, help="file the digests are written to")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     current = snapshot()
-    if args.write:
-        args.write.write_text(json.dumps(current, indent=1) + "\n")
-        print(f"{len(current)} invocations recorded")
-        return 0
-    golden = json.loads(args.check.read_text())
-    differ = [key for key in golden.keys() | current.keys()
-              if golden.get(key) != current.get(key)]
-    for key in sorted(differ):
-        print(f"differs: {key}")
-    print(f"{len(current) - len(differ)} of {len(current)} invocations identical")
-    return 1 if differ else 0
+    args.golden.write_text(json.dumps(current, indent=1) + "\n")
+    print(f"{len(current)} invocations recorded")
+    return 0
 
 
 if __name__ == "__main__":
