@@ -30,6 +30,18 @@ The general identities above fill them with the alphas; the Hermite
 identities and the printed Bernoulli, Euler and Genocchi claims are the
 same shapes with other weights.  Each x-power of a residual is summed
 over a common denominator and canonicalized once.
+
+Both shapes are linear in their coefficients, and the residuals are
+computed from one another by identities that hold for any polynomials,
+so each equals the direct sum of its terms, for a wrong family as for a
+right one.  The first recurrence form asked for at (family, n) is summed
+directly and kept as the family's reference; a later one is lam times
+the reference plus the form of its coefficient differences, few or none
+of them nonzero.  A difference form is a recurrence form plus the
+lowering defects M_{n,k} = D^k A_n - ([n]_q!/[n-k]_q!) A_{n-k}, which
+follow from M_{n,1} = D A_n - [n]_q A_{n-1} by the lowering recursion
+M_{n,k} = [n]_q M_{n-1,k-1} + D^(k-1) M_{n,1} and also give the lowering
+check.  So the cost per degree is O(n) weights, not O(n^2) products.
 """
 
 from __future__ import annotations
@@ -38,7 +50,8 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .qarith import FracAcc, QRat, QRAT_Q, QRAT_ZERO, _as_qrat, solve_step
+from .qarith import (FracAcc, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO, _as_qrat,
+                     solve_step)
 from .qpoly import TEXT, Spelling, _as_fraction, join_terms
 from .qseries import Series, jackson, scale_powers
 
@@ -123,13 +136,6 @@ class XPoly:
     def q_derivative(self) -> XPoly:
         """Jackson derivative in x: x^n -> [n]_q x^(n-1)."""
         return XPoly(jackson(self.coeffs))
-
-    def q_derivatives(self, upto: int) -> list[XPoly]:
-        """[p, D p, ..., D^upto p], each taken from the one before."""
-        out = [self]
-        for _ in range(upto):
-            out.append(out[-1].q_derivative())
-        return out
 
     def evaluate_x(self, x0) -> QRat:
         """Exact value at a rational x0, with q still symbolic (Horner)."""
@@ -221,6 +227,10 @@ class AppellFamily:
         self._numbers: list[QRat] = []
         self._alphas: list[QRat] = []
         self._polys: dict[int, XPoly] = {}
+        # Per degree n: the reference recurrence form (see recurrence_form)
+        # and the lowering defects M_{n,0} .. M_{n,n} (see lowering_defects).
+        self._references: dict[int, tuple] = {}
+        self._defects: dict[int, tuple[XPoly, ...]] = {}
         self._generator: Series | None = None
         head = self.numbers(1 if order > 0 else 0)
         self.shifted = head[0].is_zero()
@@ -294,6 +304,13 @@ class AppellFamily:
                 al.append(self._alpha(len(al)))
             return tuple(al[: upto + 1])
 
+    def _keep(self, table: dict, n: int, value):
+        """Store value at n unless another thread stored one first, and
+        return the stored value.  Values are computed outside the lock,
+        which polynomial() takes; a race costs only duplicate work."""
+        with self._lock:
+            return table.setdefault(n, value)
+
     def _alpha(self, n: int) -> QRat:
         # The caller holds the lock and has alpha_0 .. alpha_{n-1}.
         m = n + 1 if self.shifted else n
@@ -348,28 +365,105 @@ def _sum(terms) -> XPoly:
     return XPoly([acc.value() for acc in accs])
 
 
+def _less(c: QRat, lam: QRat, c0: QRat) -> QRat:
+    """c - lam*c0, with the product left unreduced."""
+    if not (lam and c0):
+        return c
+    acc = FracAcc()
+    acc.add(c)
+    acc.sub_product(lam, c0)
+    return acc.value()
+
+
+def _basis(fam: AppellFamily, n: int, key) -> XPoly:
+    """The polynomial a recurrence-form coefficient multiplies: A_n(qx)
+    for "qx", x A_{n-1}(x) for "x", A_j(x) for an index j."""
+    if key == "qx":
+        return fam.polynomial(n).scale_x(QRAT_Q)
+    if key == "x":
+        return fam.polynomial(n - 1).times_x()
+    return fam.polynomial(key)
+
+
+# No reference yet: a0 = 0 makes lam = 0 and R0 = 0.
+_NO_REFERENCE = (QRAT_ZERO, {}, XPoly())
+
+
 def recurrence_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
                     weights) -> XPoly:
     """at_qx A_n(qx) + at_x x A_{n-1}(x) + sum w A_j(x) over the (j, w)
     pairs of `weights`: the shape of the recurrence a1 and of every
-    recurrence specialized from it."""
-    poly = fam.polynomial
-    return _sum([(at_qx, poly(n).scale_x(QRAT_Q)),
-                 (at_x, poly(n - 1).times_x()),
-                 *((w, poly(j)) for j, w in weights)])
+    recurrence specialized from it.
+
+    The family keeps the first such form asked for at n, summed
+    directly, as its reference: a0 at A_n(qx), the other coefficients c0
+    and the residual R0.  The form is linear in its coefficients, so with
+    lam = at_qx / a0 it is lam R0 plus the sum of (c - lam c0) times its
+    polynomial, over the coefficients where that is nonzero; at A_n(qx)
+    it is zero by the choice of lam.  With no reference, lam = 0 and the
+    sum is the direct one, which becomes the reference if at_qx != 0.
+    """
+    a0, c0, r0 = fam._references.get(n, _NO_REFERENCE)
+    lam = at_qx / a0 if a0 else QRAT_ZERO
+    coeffs = {"x": at_x}
+    for j, w in weights:
+        coeffs[j] = coeffs[j] + w if j in coeffs else w
+    diffs = {"qx": QRAT_ZERO if a0 else at_qx}
+    diffs.update((key, _less(coeffs.get(key, QRAT_ZERO), lam, c0.get(key, QRAT_ZERO)))
+                 for key in {**c0, **coeffs})
+    form = _sum([(lam, r0), *((c, _basis(fam, n, key)) for key, c in diffs.items() if c)])
+    if at_qx and not a0:
+        fam._keep(fam._references, n, (at_qx, coeffs, form))
+    return form
+
+
+def lowering_defects(fam: AppellFamily, n: int) -> tuple[XPoly, ...]:
+    """M_{n,k} = D^k A_n - ([n]_q!/[n-k]_q!) A_{n-k} for 0 <= k <= n, all
+    zero when the lowering identity holds at n.
+
+    For any polynomials M_{n,0} = 0, M_{n,1} = D A_n - [n]_q A_{n-1} and
+    M_{n,k} = [n]_q M_{n-1,k-1} + D^(k-1) M_{n,1}, so a degree costs one
+    derivative and one comparison when M_{n,1} vanishes, not n
+    derivatives.  The family keeps the defects of every degree up to n.
+    """
+    table = fam._defects
+    for m in range(n + 1):
+        if m in table:
+            continue
+        ms = [XPoly()]
+        if m:
+            below, qm = table[m - 1], _qi(m)
+            derivative = fam.polynomial(m).q_derivative()
+            lowered = fam.polynomial(m - 1).scale(qm)
+            dm = XPoly() if derivative == lowered else derivative - lowered
+            ms.append(dm)
+            for k in range(2, m + 1):
+                if not dm.is_zero():
+                    dm = dm.q_derivative()
+                ms.append(_sum([(qm, below[k - 1]), (QRAT_ONE, dm)]))
+        fam._keep(table, m, tuple(ms))
+    return table[n]
 
 
 def difference_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
                     weights) -> XPoly:
     """at_qx A_n(qx) + at_x x D A_n(x) + sum w D^k A_n(x) over the (k, w)
     pairs of `weights`: the shape of the difference equation a2 and of
-    every equation specialized from it.  Derivatives are taken up to the
-    largest k asked for, which may exceed n."""
-    weights = list(weights)
-    derivs = fam.polynomial(n).q_derivatives(max([1, *(k for k, _ in weights)]))
-    return _sum([(at_qx, derivs[0].scale_x(QRAT_Q)),
-                 (at_x, derivs[1].times_x()),
-                 *((w, derivs[k]) for k, w in weights)])
+    every equation specialized from it.
+
+    D^k A_n = ([n]_q!/[n-k]_q!) A_{n-k} + M_{n,k} makes it the recurrence
+    form with at_x [n]_q at x A_{n-1} and w [n]_q!/[n-k]_q! at A_{n-k},
+    plus at_x x M_{n,1} + sum w M_{n,k} over the nonzero defects.  D^k A_n
+    vanishes for k > n, so a weight there adds nothing.
+    """
+    weights = [(k, w) for k, w in weights if k <= n]
+    form = recurrence_form(fam, n, at_qx, at_x * _qi(n), [
+        (n - k, w * (_qf(n) / _qf(n - k))) for k, w in weights])
+    ms = lowering_defects(fam, n)
+    defects = [(w, ms[k]) for k, w in weights if not ms[k].is_zero()]
+    if n and not ms[1].is_zero():
+        defects.append((at_x, ms[1].times_x()))
+    return form + _sum(defects) if defects else form
 
 
 def recurrence_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
@@ -420,9 +514,9 @@ def verify_lowering_range(fam: AppellFamily, max_n: int) -> VerificationReport:
         raise DegreeRangeError(f"lowering check needs 0 <= n <= {fam.order}")
 
     def first_nonzero(n: int) -> XPoly:
-        chain = fam.polynomial(n).q_derivatives(n)
-        terms = (fam.polynomial(n - k) - d.scale(_qf(n - k) / _qf(n))
-                 for k, d in enumerate(chain))
-        return next((r for r in terms if not r.is_zero()), XPoly.zero())
+        # A_{n-k} - ([n-k]_q!/[n]_q!) D^k A_n = -([n-k]_q!/[n]_q!) M_{n,k}
+        return next((m.scale(-_qf(n - k) / _qf(n))
+                     for k, m in enumerate(lowering_defects(fam, n))
+                     if not m.is_zero()), XPoly.zero())
 
     return make_report("lowering", fam.name, (0, max_n), first_nonzero)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -208,6 +209,33 @@ def test_inputs_at_the_limits_are_accepted(capsys):
     helptext = build_parser().format_help()
     assert f"--order <= {MAX_ORDER}" in helptext
     assert f"--max-n, --n <= {MAX_N}" in helptext
+
+
+def _cost_rows(run: str, times: str, sep: str) -> dict[str, str]:
+    """{command with its value: wall time} for one cost-table row whose
+    values and times are each separated by `sep`."""
+    first, *rest = run.strip().replace("`", "").split(sep)
+    command, value = first.rsplit(" ", 1)
+    figures = [t.strip().removesuffix(" s") for t in times.split(sep)]
+    return {f"{command} {v}": t for v, t in zip([value, *rest], figures, strict=True)}
+
+
+def test_readme_cost_table_carries_the_help_figures():
+    """The verify rows of the --help limits (cli._LIMITS) and of the
+    README cost table give the same wall time for every run they list,
+    and list the same verify-all depths."""
+    limits = {}
+    for line in cli._LIMITS.splitlines():
+        if line.lstrip().startswith("verify"):
+            limits.update(_cost_rows(*re.split(r"\s{2,}", line.strip()), " | "))
+    readme = {}
+    for line in (SRC.parent / "README.md").read_text().splitlines():
+        if line.startswith("| `verify"):
+            _, run, times, _ = line.split("|")
+            readme.update(_cost_rows(run, times, " / "))
+    assert len(limits) == 7 and limits.items() <= readme.items()
+    depths = [{run for run in table if "--scope all" in run} for table in (limits, readme)]
+    assert depths[0] == depths[1]
 
 
 def test_verify_checks_degree_ranges_before_building_families(capsys):

@@ -11,7 +11,11 @@ runs first, and keeps the final JSON line of every run.  It then runs
 verify-all at ``--trace 1`` five times per tree (seeds 101 to 105,
 alternating in the same way), since per-layer self times swing more than
 2x between runs of one tree; it keeps every traced run and writes each
-side's per-metric median.  The file also records the
+side's per-metric median.  A ``depth`` block, which no gate reads,
+times ``python -m qappell verify --scope all --max-n M`` for M in 20
+and 24 as fresh processes, five alternating pairs per tree, and records
+every wall time, each side's median and the change's wins.  The file
+also records the
 seeds, the pair count, ``platform.platform()`` and ``sys.version``, the
 line count of ``src/**/*.py`` in each tree (``src_lines``), and per
 end-to-end metric the median and quartiles of each side, the number
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -38,6 +43,8 @@ TRACE_WORKLOAD = "verify-all"
 PAIRS = 10
 TRACE_PAIRS = 5
 FIRST_SEED = 101
+DEPTH_MAX_N = (20, 24)
+DEPTH_PAIRS = 5
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -110,6 +117,34 @@ def alternate(trees: dict[str, Path], workload: str, seeds: list[int],
     return pairs
 
 
+def cli_wall(tree: Path, argv: list[str]) -> float:
+    """Wall time of one ``python -m qappell`` process run in `tree`, with
+    qappell imported from the tree's ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "qappell", *argv], cwd=tree, env=env,
+                   capture_output=True, check=True)
+    return time.perf_counter() - start
+
+
+def depth(trees: dict[str, Path]) -> dict:
+    """Fresh-process wall times of verify-all at each depth, per tree in
+    alternating order, with each side's median and the change's wins."""
+    out = {}
+    for max_n in DEPTH_MAX_N:
+        argv = ["verify", "--scope", "all", "--max-n", str(max_n)]
+        walls = {"parent": [], "change": []}
+        for i in range(DEPTH_PAIRS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                walls[side].append(cli_wall(trees[side], argv))
+        print(f"depth max-n {max_n}: done", file=sys.stderr)
+        out[" ".join(argv)] = {
+            "unit": "s", "pairs": DEPTH_PAIRS, "runs": walls,
+            "median": {side: statistics.median(v) for side, v in walls.items()},
+            "change_wins": sum(c < p for p, c in zip(walls["parent"], walls["change"]))}
+    return out
+
+
 def trace_medians(pairs: list[dict]) -> dict:
     """Each side's median per traced metric over the pairs."""
     return {side: {name: statistics.median(p[side]["metrics"][name]["value"]
@@ -149,6 +184,7 @@ def main(argv=None) -> int:
     traces = alternate(trees, TRACE_WORKLOAD, seeds[:TRACE_PAIRS], seconds, 1)
     result["workloads"][TRACE_WORKLOAD]["trace"] = {
         "runs": traces, "median": trace_medians(traces)}
+    result["depth"] = depth(trees)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
