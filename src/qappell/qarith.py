@@ -14,11 +14,11 @@ a polynomial gcd.  Expanding a Phi product, and summing the groups of a
 computation at q = 256^w (Kronecker substitution, von zur Gathen &
 Gerhard section 8.4), unpacked once; the slot width w comes from a bound
 on every coefficient, and each cofactor's bound and packed value are
-memoized.  A denominator with any other factor, which only custom
-generators and user-built values produce, takes the generic path: the
-canonical pair reduced by ``qpoly_gcd`` (heuristic gcd, Char, Geddes
-& Gonnet 1989); ``_pair`` is the one exit from a pair to either form.
-Sums of many rational functions go through ``FracAcc``, which
+memoized.  ``_pair`` alone picks a value's form: factored exactly when
+the reduced denominator is q^a prod Phi_d, found by trial division, else
+generic, the canonical pair reduced by ``qpoly_gcd`` (heuristic gcd,
+Char, Geddes & Gonnet 1989); generic sums and products are QRat(num,
+den).  Sums of many rational functions go through ``FracAcc``, which
 canonicalizes once per result, and one row of a triangular solve is
 ``solve_step``.  An int, Fraction or QPoly operand or coefficient is
 coerced by one rule, ``_as_qrat``, and anything else is refused.
@@ -212,7 +212,7 @@ class QRat:
     vectors element-wise, and sums take the element-wise minimum as the
     common factor, so neither needs a polynomial gcd.  Any other value
     is held generically as its canonical pair (vector None) and
-    combined by gcds.
+    combined by QRat(num, den); ``_pair`` picks the form.
 
     ``num`` and ``den`` are the canonical pair in either form: den monic,
     gcd(num, den) = 1 in Q[q].  They are expanded on first use and
@@ -231,11 +231,6 @@ class QRat:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return QRAT_ZERO
-        if any(den._ints[:-1]):
-            g = qpoly_gcd(num, den)
-            if g.degree > 0:
-                num = num.div_exact(g)
-                den = den.div_exact(g)
         return _pair(num, den)
 
     @staticmethod
@@ -331,7 +326,9 @@ class QRat:
         if other.is_zero():
             return self
         if self._m is None or other._m is None:
-            return _add_pairs(self.num, self.den, other.num, other.den)
+            g = qpoly_gcd(self.den, other.den)
+            b, d = self.den.div_exact(g), other.den.div_exact(g)
+            return QRat(self.num * d + other.num * b, self.den * d)
         acc = FracAcc()
         acc.add_raw(self._m, self._n)
         acc.add_raw(other._m, other._n)
@@ -353,7 +350,7 @@ class QRat:
             return QRAT_ZERO
         ma, mb = self._m, other._m
         if ma is None or mb is None:
-            return _mul_pairs(self.num, self.den, other.num, other.den)
+            return QRat(self.num * other.num, self.den * other.den)
         m = _vadd(ma, mb)
         na, nb = self._n, other._n
         # A numerator part may hold a Phi_d whose exponent was not
@@ -381,7 +378,7 @@ class QRat:
         n = self._n
         if self._m is not None and n.degree == 0:
             return _factored(tuple(-e for e in self._m), _poly([n._den], n._ints[0]))
-        return _pair(self.den, self.num)
+        return _pair(self.den, self.num, coprime=True)
 
     def evaluate(self, q0) -> Fraction:
         """Exact value at rational q0; PoleError if the denominator vanishes."""
@@ -430,53 +427,51 @@ def _generic(num: QPoly, den: QPoly) -> QRat:
     return r
 
 
-def _pair(num: QPoly, den: QPoly) -> QRat:
-    """The value num/den, for a pair coprime unless den is c q^w:
-    rescaled to a monic denominator, and factored, with the common
-    power of q cancelled, when that denominator is a power of q."""
-    if num.is_zero():
-        return QRAT_ZERO
+def _pair(num: QPoly, den: QPoly, coprime: bool = False) -> QRat:
+    """The value num/den for a nonzero num, and the one place a form is
+    chosen: factored exactly when the monic reduced den is q^a prod Phi_d.
+    A pair not known to be coprime is reduced by ``_cancel`` when den is
+    already such a product, else by ``qpoly_gcd``."""
     lead, scale = den._ints[-1], den._den
     if lead != scale:
         num, den = num._times(scale, lead), _poly(list(den._ints), lead)
-    if any(den._ints[:-1]):
-        return _generic(num, den)
-    return _factored(*_cancel((-den.degree,) if den.degree else (), num))
+    m = _cyclotomic(den)
+    if m is not None:
+        return _factored(*_cancel(_vec(m), num))
+    if not coprime:
+        g = qpoly_gcd(num, den)
+        if g.degree > 0:
+            return _pair(num.div_exact(g), den.div_exact(g), coprime=True)
+    return _generic(num, den)
 
 
-def _add_pairs(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRat:
-    """a/b + c/d for canonical pairs, by gcds (the generic form)."""
-    if b == d:
-        return QRat(a + c, b)
-    g = qpoly_gcd(b, d)
-    if g.degree <= 0:
-        return _pair(a * d + c * b, b * d)
-    b1 = b.div_exact(g)
-    d1 = d.div_exact(g)
-    t = a * d1 + c * b1
-    if t.is_zero():
-        return QRAT_ZERO
-    h = qpoly_gcd(t, g)
-    if h.degree > 0:
-        t = t.div_exact(h)
-        g = g.div_exact(h)
-    return _pair(t, b1 * d1 * g)
+@lru_cache(maxsize=None)
+def _totients(n: int) -> tuple[int, ...]:
+    """Euler's phi(d) for every d < n, by a sieve."""
+    t = list(range(n))
+    for p in range(2, n):
+        if t[p] == p:
+            t[p::p] = [v - v // p for v in t[p::p]]
+    return tuple(t)
 
 
-def _mul_pairs(a: QPoly, b: QPoly, c: QPoly, d: QPoly) -> QRat:
-    """(a/b)(c/d) for canonical pairs, by cross-cancelling gcds (the
-    generic form)."""
-    if a.degree > 0 and d.degree > 0:
-        g1 = qpoly_gcd(a, d)
-        if g1.degree > 0:
-            a = a.div_exact(g1)
-            d = d.div_exact(g1)
-    if c.degree > 0 and b.degree > 0:
-        g2 = qpoly_gcd(c, b)
-        if g2.degree > 0:
-            c = c.div_exact(g2)
-            b = b.div_exact(g2)
-    return _pair(a * c, b * d)
+def _cyclotomic(den: QPoly) -> list[int] | None:
+    """The exponents of the monic den as q^a prod Phi_d, or None when den
+    has another factor.  Past q^a, such a product is integer and
+    palindromic up to sign; Phi_d is tried for d ascending while its
+    degree phi(d) >= sqrt(d/2) fits the degree k left: d <= 2 k^2."""
+    ints = den._ints
+    a = next(i for i, c in enumerate(ints) if c)
+    ints = ints[a:]
+    if den._den != 1 or ints != ints[::-1] and ints != tuple(-c for c in reversed(ints)):
+        return None
+    m, d = [-a], 1
+    while len(ints) > 1 and d <= 2 * (len(ints) - 1) ** 2:
+        m.append(0)
+        while _totients(1 << d.bit_length())[d] < len(ints) and _phi_divides(ints, d):
+            ints, m[d] = _int_div_exact(ints, _phi(d)), m[d] - 1
+        d += 1
+    return None if len(ints) > 1 else m
 
 
 QRAT_ZERO = _factored((), P_ZERO)

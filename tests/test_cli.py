@@ -289,6 +289,21 @@ def test_json_round_trip_bytes(capsys):
     assert re_emitted == out
 
 
+def test_parsed_table_values_are_factored_and_equal_the_family_values(capsys):
+    """Every value of ``numbers --max-n 24`` and ``alpha --max-n 23``
+    parses back through qrat_from_json to a factored value equal to the
+    family's own, for all four families."""
+    for kind in FamilyKind:
+        fam = make_family(kind)
+        for command, n, own in (("numbers", 24, fam.numbers), ("alpha", 23, fam.alphas)):
+            code, out, _ = run_cli(capsys, command, "--family", kind.value,
+                                   "--max-n", str(n))
+            assert code == 0
+            parsed = [render.qrat_from_json(v) for v in json.loads(out)[command]]
+            assert parsed == list(own(n)), (kind, command)
+            assert all(r._m is not None for r in parsed), (kind, command)
+
+
 def test_xpoly_json_degree_must_match_n():
     one = render.qrat_to_json(QRat(1))
     with pytest.raises(ValueError, match="n = 3"):

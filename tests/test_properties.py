@@ -16,6 +16,7 @@ import pytest
 hyp = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from qappell import qarith  # noqa: E402
 from qappell.appell import AppellFamily, divided_power_series  # noqa: E402
 from qappell.families import FamilyKind, make_family  # noqa: E402
 from qappell.qarith import (FracAcc, P_ONE, PoleError, QPoly,  # noqa: E402
@@ -380,8 +381,10 @@ _small_value = st.one_of(_factored_value(4), _generic_value(), _mixed_value(4))
 
 
 def _generic_twin(r: QRat) -> QRat:
-    """The same value, built from its expanded pair by QRat(num, den)."""
-    return QRat(r.num, r.den)
+    """The same value held generically, as its expanded pair, even when
+    its denominator is q^a prod Phi_d, so that arithmetic on it runs the
+    generic path."""
+    return qarith._generic(r.num, r.den)
 
 
 def _check_value(ours: QRat, ref_num, ref_den, q0) -> None:
@@ -398,6 +401,11 @@ def _check_value(ours: QRat, ref_num, ref_den, q0) -> None:
         assert ours.evaluate(q0) == _ref_eval(ref_num, q0) / at
     twin = _generic_twin(ours)
     assert twin == ours and ours == twin and hash(twin) == hash(ours)
+    # The form depends on the value alone: rebuilt from its pair, it
+    # comes back equal, in the same form.
+    rebuilt = QRat(ours.num, ours.den)
+    assert rebuilt == ours and hash(rebuilt) == hash(ours)
+    assert (rebuilt._m is None) == (ours._m is None)
 
 
 @hyp.settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -554,3 +555,70 @@ def test_factored_and_generic_values_agree():
     assert mixed * QRat.q_integer(4) == QRat(q_integer(3), QPoly((1, 2)))
     monic = QPoly((Fraction(1, 2), 1)) * q_integer(4)
     assert (mixed + QRat.q_integer(2).reciprocal()).den == monic
+
+
+def test_pair_factors_exactly_the_cyclotomic_denominators():
+    """QRat(num, den) is factored exactly when the reduced denominator is
+    q^a prod Phi_d, whichever path built it: Phi_1 as q - 1 and as 2 - 2q,
+    q^a times products of Phi_d with d <= 30 under a constant factor,
+    over reduced and unreduced pairs, their reciprocals and a generic
+    value times its non-cyclotomic factor; 1 + 3q + q^2 and 1 + 2q stay
+    generic."""
+    num = QPoly((1, 2))  # prime to q and to every Phi_d
+    for den, lead in ((QPoly((-1, 1)), 1), (QPoly((2, -2)), -2)):
+        r = QRat(num, den)
+        assert r._m == (0, -1) and r.den == QPoly((-1, 1))
+        assert r.num == num.scale(Fraction(1, lead))
+    rng = random.Random(30)
+    for _ in range(60):
+        a = rng.randint(0, 5)
+        exps = {d: rng.randint(1, 2) for d in rng.sample(range(1, 31), rng.randint(1, 4))}
+        den = _qpow(a)
+        for d, e in exps.items():
+            for _ in range(e):
+                den = den * QPoly(qarith._phi(d))
+        den = den.scale(Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4)))
+        r = QRat(num, den)
+        want = (-a,) + tuple(-exps.get(d, 0) for d in range(1, max(exps) + 1))
+        assert r._m == want, exps
+        assert r.evaluate(Fraction(2, 7)) == num.evaluate(Fraction(2, 7)) / den.evaluate(Fraction(2, 7))
+        assert r.reciprocal()._m is None and r.reciprocal().reciprocal()._m == want
+        # The same value over an unreduced pair: a common q^b prod Phi_d
+        # factor cancels without a gcd, and a common 2 + q + q^2 by one.
+        common = _qpow(rng.randint(0, 3)) * QPoly(qarith._phi(rng.randint(1, 30)))
+        for extra in (common, common * QPoly((2, 1, 1))):
+            unreduced = QRat(num * extra, den * extra)
+            assert unreduced == r and unreduced._m == want and unreduced._n == r._n
+    assert QRat(QPoly((1, 1))).reciprocal()._m == (0, 0, -1)
+    mixed = QRat(q_integer(3), QPoly((1, 2)) * q_integer(4))
+    assert (mixed * QRat(QPoly((1, 2))))._m == (0, 0, -1, 0, -1)
+    for den in (QPoly((1, 3, 1)), QPoly((1, 2))):
+        r = QRat(1, den)
+        assert r._m is None and r * den == QRat(1)
+
+
+def test_pair_classifies_a_long_non_cyclotomic_denominator_quickly(monkeypatch):
+    """A palindromic denominator of degree 59 that is no product of Phi_d
+    is tried only against Phi_d of degree at most the degree left, builds
+    no larger one, and is classified in well under a second."""
+    phi, divides = qarith._phi, qarith._phi_divides
+    built, tried = [], []
+
+    def recording_phi(d):
+        built.append(d)
+        return phi(d)
+
+    def recording_divides(ints, d):
+        tried.append((len(ints) - 1, d))
+        return divides(ints, d)
+
+    monkeypatch.setattr(qarith, "_phi", recording_phi)
+    monkeypatch.setattr(qarith, "_phi_divides", recording_divides)
+    den = QPoly([1] + [3] * 58 + [1])
+    start = time.perf_counter()
+    r = QRat(1, den)
+    elapsed = time.perf_counter() - start
+    assert r._m is None and r.den == den
+    assert tried and all(len(phi(d)) - 1 <= left for left, d in tried)
+    assert max(len(phi(d)) - 1 for d in built) <= 59
+    assert elapsed < 1.0
