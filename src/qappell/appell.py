@@ -34,10 +34,11 @@ over a common denominator and canonicalized once.
 Both shapes are linear in their coefficients, and the residuals are
 computed from one another by identities that hold for any polynomials,
 so each equals the direct sum of its terms, for a wrong family as for a
-right one.  The first recurrence form asked for at (family, n) is summed
-directly and kept as the family's reference; a later one is lam times
-the reference plus the form of its coefficient differences, few or none
-of them nonzero.  A difference form is a recurrence form plus the
+right one.  A recurrence form at (family, n) is lam times a reference
+form plus the form of its coefficient differences, few or none of them
+nonzero; the reference is A_n(qx) itself until the family keeps the
+first form with a nonzero A_n(qx) coefficient, which is then the direct
+sum.  A difference form is a recurrence form plus the
 lowering defects M_{n,k} = D^k A_n - ([n]_q!/[n-k]_q!) A_{n-k}, which
 follow from M_{n,1} = D A_n - [n]_q A_{n-1} by the lowering recursion
 M_{n,k} = [n]_q M_{n-1,k-1} + D^(k-1) M_{n,1} and also give the lowering
@@ -73,10 +74,6 @@ class XPoly:
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> XPoly:
-        return cls()
 
     @property
     def degree(self) -> int:
@@ -123,11 +120,11 @@ class XPoly:
             return XPoly()
         return XPoly([a * c for a in self.coeffs])
 
-    def times_x(self, k: int = 1) -> XPoly:
-        """Multiply by x^k."""
+    def times_x(self) -> XPoly:
+        """Multiply by x."""
         if self.is_zero():
             return self
-        return XPoly((QRAT_ZERO,) * k + self.coeffs)
+        return XPoly((QRAT_ZERO,) + self.coeffs)
 
     def scale_x(self, c) -> XPoly:
         """Substitute x -> c*x: the x^k coefficient picks up c^k."""
@@ -139,7 +136,7 @@ class XPoly:
 
     def evaluate_x(self, x0) -> QRat:
         """Exact value at a rational x0, with q still symbolic (Horner)."""
-        x0 = x0 if isinstance(x0, QRat) else QRat(_as_fraction(x0))
+        x0 = _as_qrat(x0)
         acc = QRAT_ZERO
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
@@ -151,7 +148,7 @@ class XPoly:
 
     def evaluate(self, q0, x0) -> Fraction:
         """Exact value at numeric (q0, x0)."""
-        x0 = x0 if isinstance(x0, Fraction) else _as_fraction(x0)
+        x0 = _as_fraction(x0)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x0 + c.evaluate(q0)
@@ -371,7 +368,7 @@ def _less(c: QRat, lam: QRat, c0: QRat) -> QRat:
         return c
     acc = FracAcc()
     acc.add(c)
-    acc.sub_product(lam, c0)
+    acc.add_product(-lam, c0)
     return acc.value()
 
 
@@ -385,35 +382,30 @@ def _basis(fam: AppellFamily, n: int, key) -> XPoly:
     return fam.polynomial(key)
 
 
-# No reference yet: a0 = 0 makes lam = 0 and R0 = 0.
-_NO_REFERENCE = (QRAT_ZERO, {}, XPoly())
-
-
 def recurrence_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
                     weights) -> XPoly:
     """at_qx A_n(qx) + at_x x A_{n-1}(x) + sum w A_j(x) over the (j, w)
     pairs of `weights`: the shape of the recurrence a1 and of every
     recurrence specialized from it.
 
-    The family keeps the first such form asked for at n, summed
-    directly, as its reference: a0 at A_n(qx), the other coefficients c0
-    and the residual R0.  The form is linear in its coefficients, so with
-    lam = at_qx / a0 it is lam R0 plus the sum of (c - lam c0) times its
-    polynomial, over the coefficients where that is nonzero; at A_n(qx)
-    it is zero by the choice of lam.  With no reference, lam = 0 and the
-    sum is the direct one, which becomes the reference if at_qx != 0.
+    The form is linear in its coefficients.  So against a reference, a
+    form with coefficients c0 (keyed "qx", "x" and j as in ``_basis``)
+    and residual R0, it is lam R0 plus the sum of (c - lam c0) times its
+    polynomial, over the coefficients where that is nonzero, with
+    lam = at_qx / c0["qx"]; at "qx" the difference is zero.  Before the
+    family keeps one at n, the reference is 1 A_n(qx), so the sum is the
+    direct one; the first form with at_qx != 0 is kept as the reference.
     """
-    a0, c0, r0 = fam._references.get(n, _NO_REFERENCE)
-    lam = at_qx / a0 if a0 else QRAT_ZERO
-    coeffs = {"x": at_x}
+    coeffs = {"qx": at_qx, "x": at_x}
     for j, w in weights:
         coeffs[j] = coeffs[j] + w if j in coeffs else w
-    diffs = {"qx": QRAT_ZERO if a0 else at_qx}
-    diffs.update((key, _less(coeffs.get(key, QRAT_ZERO), lam, c0.get(key, QRAT_ZERO)))
-                 for key in {**c0, **coeffs})
-    form = _sum([(lam, r0), *((c, _basis(fam, n, key)) for key, c in diffs.items() if c)])
-    if at_qx and not a0:
-        fam._keep(fam._references, n, (at_qx, coeffs, form))
+    c0, r0 = fam._references.get(n) or ({"qx": QRAT_ONE}, _basis(fam, n, "qx"))
+    lam = at_qx / c0["qx"]
+    diffs = ((key, _less(coeffs.get(key, QRAT_ZERO), lam, c0.get(key, QRAT_ZERO)))
+             for key in {**c0, **coeffs})
+    form = _sum([(lam, r0), *((c, _basis(fam, n, key)) for key, c in diffs if c)])
+    if at_qx:
+        fam._keep(fam._references, n, (coeffs, form))
     return form
 
 
@@ -466,23 +458,17 @@ def difference_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
     return form + _sum(defects) if defects else form
 
 
-def recurrence_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
+def recurrence_residual(fam: AppellFamily, n: int) -> XPoly:
     """[n]_q A_n(qx) - sum_k [n k]_q alpha_k q^(n-k) A_{n-k}(x)
-    - x [n]_q q^n A_{n-1}(x), identically zero when the recurrence holds.
-
-    An explicit `alphas` vector substitutes for the family's own; the
-    residual relation between the two theorem forms holds for any vector.
-    """
-    if alphas is None:
-        alphas = fam.alphas(n)
+    - x [n]_q q^n A_{n-1}(x), identically zero when the recurrence holds."""
+    alphas = fam.alphas(n)
     return recurrence_form(fam, n, _qi(n), -_qi(n) * _qp(n), (
         (n - k, -alphas[k] * _qb(n, k) * _qp(n - k)) for k in range(n + 1)))
 
 
-def difference_residual(fam: AppellFamily, n: int, alphas=None) -> XPoly:
+def difference_residual(fam: AppellFamily, n: int) -> XPoly:
     """sum_k (q^(n-k) alpha_k/[k]_q!) D^k A_n + x q^n D A_n - [n]_q A_n(qx)."""
-    if alphas is None:
-        alphas = fam.alphas(n)
+    alphas = fam.alphas(n)
     return difference_form(fam, n, -_qi(n), _qp(n), (
         (k, alphas[k] * _qp(n - k) / _qf(k)) for k in range(n + 1)))
 
@@ -517,6 +503,6 @@ def verify_lowering_range(fam: AppellFamily, max_n: int) -> VerificationReport:
         # A_{n-k} - ([n-k]_q!/[n]_q!) D^k A_n = -([n-k]_q!/[n]_q!) M_{n,k}
         return next((m.scale(-_qf(n - k) / _qf(n))
                      for k, m in enumerate(lowering_defects(fam, n))
-                     if not m.is_zero()), XPoly.zero())
+                     if not m.is_zero()), XPoly())
 
     return make_report("lowering", fam.name, (0, max_n), first_nonzero)

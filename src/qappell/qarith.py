@@ -20,8 +20,9 @@ generic, the canonical pair reduced by ``qpoly_gcd`` (heuristic gcd,
 Char, Geddes & Gonnet 1989); generic sums and products are QRat(num,
 den).  Sums of many rational functions go through ``FracAcc``, which
 canonicalizes once per result, and one row of a triangular solve is
-``solve_step``.  An int, Fraction or QPoly operand or coefficient is
-coerced by one rule, ``_as_qrat``, and anything else is refused.
+``solve_step``.  An int, Fraction or QPoly operand is coerced by
+``qpoly.operand``, the rule QPoly shares, a coefficient by ``_as_qrat``,
+and anything else is refused.
 
 The polynomials themselves, ``QPoly`` and ``qpoly_gcd``, live in
 :mod:`qappell.qpoly` and are re-exported here.  q stays symbolic
@@ -35,12 +36,12 @@ freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import lcm as _int_lcm
 from operator import add
 
 from .qpoly import (P_ONE, P_ZERO, QPoly, _as_fraction, _int_div_exact,
-                    _kron_pack, _kron_unpack, _poly, _width, qpoly_gcd)
+                    _kron_pack, _kron_unpack, _poly, _width, operand, qpoly_gcd)
 
 
 class PoleError(ZeroDivisionError):
@@ -82,8 +83,22 @@ def _phi_divides(ints, d: int) -> bool:
 
 @lru_cache(maxsize=512)
 def _phi_at(d: int, w: int) -> int:
-    """Phi_d(256^w), and 256^w for d = 0."""
-    return _kron_pack(_phi(d), w)
+    """Phi_d(X) at X = 256^w, and X for d = 0, without building Phi_d:
+    the product of (X^e - 1)^mu(d/e) over the divisors e of d for which
+    d/e is a product of distinct primes, the others having mu = 0."""
+    x = 1 << 8 * w
+    if d == 0:
+        return x
+    pairs, n = [(d, 1)], d
+    for p in range(2, d + 1):
+        if n % p == 0:
+            pairs += [(e // p, -mu) for e, mu in pairs]
+            while n % p == 0:
+                n //= p
+    parts = {1: 1, -1: 1}
+    for e, mu in pairs:
+        parts[mu] *= x ** e - 1
+    return parts[1] // parts[-1]
 
 
 def _vec(v) -> tuple[int, ...]:
@@ -186,17 +201,7 @@ def _as_qrat(c) -> QRat:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
-def _operand(op):
-    """A binary QRat operator that also takes an int, Fraction or QPoly
-    operand, and returns NotImplemented for any other type."""
-    @wraps(op)
-    def coerced(self, other):
-        if isinstance(other, QRat):
-            return op(self, other)
-        if isinstance(other, (int, Fraction, QPoly)):
-            return op(self, QRat(other))
-        return NotImplemented
-    return coerced
+_operand = operand((int, Fraction, QPoly))
 
 
 class QRat:
@@ -217,7 +222,8 @@ class QRat:
     ``num`` and ``den`` are the canonical pair in either form: den monic,
     gcd(num, den) = 1 in Q[q].  They are expanded on first use and
     cached, and equality, hashing and printing read them, so equal
-    values compare and hash equal whichever form holds them.
+    values compare and hash equal whichever form holds them; a value over
+    1 hashes as its numerator, as the QPoly or number it equals does.
     """
 
     __slots__ = ("_m", "_n", "_num", "_den", "_hash")
@@ -309,7 +315,7 @@ class QRat:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash(self.num if self.den.is_one() else (self.num, self.den))
         return self._hash
 
     def __neg__(self) -> QRat:
@@ -391,13 +397,7 @@ class QRat:
     def __str__(self) -> str:
         if self.den.is_one():
             return str(self.num)
-        num_s = str(self.num)
-        if _needs_parens(self.num):
-            num_s = f"({num_s})"
-        den_s = str(self.den)
-        if _needs_parens(self.den):
-            den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
+        return "/".join(f"({p})" if _needs_parens(p) else str(p) for p in (self.num, self.den))
 
     def __repr__(self) -> str:
         return f"QRat({self})"
@@ -434,7 +434,7 @@ def _pair(num: QPoly, den: QPoly, coprime: bool = False) -> QRat:
     already such a product, else by ``qpoly_gcd``."""
     lead, scale = den._ints[-1], den._den
     if lead != scale:
-        num, den = num._times(scale, lead), _poly(list(den._ints), lead)
+        num, den = num * Fraction(scale, lead), _poly(list(den._ints), lead)
     m = _cyclotomic(den)
     if m is not None:
         return _factored(*_cancel(_vec(m), num))
@@ -446,31 +446,46 @@ def _pair(num: QPoly, den: QPoly, coprime: bool = False) -> QRat:
 
 
 @lru_cache(maxsize=None)
-def _totients(n: int) -> tuple[int, ...]:
-    """Euler's phi(d) for every d < n, by a sieve."""
-    t = list(range(n))
-    for p in range(2, n):
-        if t[p] == p:
-            t[p::p] = [v - v // p for v in t[p::p]]
-    return tuple(t)
+def _totients(k: int) -> tuple[tuple[int, int], ...]:
+    """Every (d, phi(d)) with phi(d) <= k, d ascending, built prime by
+    prime: a p <= k + 1 not yet found is prime, since every composite
+    up to k + 1 is a product of smaller primes with phi <= k."""
+    found = {1: 1}
+    for p in range(2, k + 2):
+        if p not in found:
+            for d, t in list(found.items()):
+                d, t = d * p, t * (p - 1)
+                while t <= k:
+                    found[d] = t
+                    d, t = d * p, t * p
+    return tuple(sorted(found.items()))
 
 
 def _cyclotomic(den: QPoly) -> list[int] | None:
     """The exponents of the monic den as q^a prod Phi_d, or None when den
     has another factor.  Past q^a, such a product is integer and
     palindromic up to sign; Phi_d is tried for d ascending while its
-    degree phi(d) >= sqrt(d/2) fits the degree k left: d <= 2 k^2."""
+    degree phi(d) fits the degree left, first by the necessary test that
+    Phi_d(X) divides den(X) at X = 256^w, then by ``_phi_divides``."""
     ints = den._ints
     a = next(i for i, c in enumerate(ints) if c)
     ints = ints[a:]
     if den._den != 1 or ints != ints[::-1] and ints != tuple(-c for c in reversed(ints)):
         return None
-    m, d = [-a], 1
-    while len(ints) > 1 and d <= 2 * (len(ints) - 1) ** 2:
-        m.append(0)
-        while _totients(1 << d.bit_length())[d] < len(ints) and _phi_divides(ints, d):
-            ints, m[d] = _int_div_exact(ints, _phi(d)), m[d] - 1
-        d += 1
+    m = [-a]
+    if len(ints) > 1:
+        w = _width(max(map(abs, ints)))
+        at = _kron_pack(ints, w)
+        # The degrees up to the next power of two share one candidate list;
+        # its Phi_d(X) skip the cache, so a search evicts none of the sums'.
+        for d, t in _totients((1 << (len(ints) - 1).bit_length()) - 1):
+            if t >= len(ints):
+                continue
+            phi_at = _phi_at.__wrapped__(d, w)
+            while t < len(ints) and not at % phi_at and _phi_divides(ints, d):
+                ints, at = _int_div_exact(ints, _phi(d)), at // phi_at
+                m += [0] * (d + 1 - len(m))
+                m[d] -= 1
     return None if len(ints) > 1 else m
 
 
@@ -507,7 +522,7 @@ def solve_step(rhs: QRat, terms, pivot: QRat) -> QRat:
     acc = FracAcc()
     acc.add(rhs)
     for a, b in terms:
-        acc.sub_product(a, b)
+        acc.add_product(-a, b)
     return acc.value() / pivot
 
 
@@ -538,9 +553,6 @@ class FracAcc:
         else:
             self.add_raw(r._m, r._n)
 
-    def sub(self, r: QRat) -> None:
-        self.add(-r)
-
     def add_raw(self, m: tuple, n: QPoly) -> None:
         """Add Phi^m n for an exponent vector m; n need not be reduced."""
         if n._ints:
@@ -553,9 +565,6 @@ class FracAcc:
             self._rest = self._rest + a * b
         elif a and b:
             self.add_raw(_vadd(a._m, b._m), a._n * b._n)
-
-    def sub_product(self, a: QRat, b: QRat) -> None:
-        self.add_product(-a, b)
 
     def value(self) -> QRat:
         groups = [(key, n) for key, n in self._groups.items() if n._ints]

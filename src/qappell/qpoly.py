@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from functools import wraps
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import NamedTuple
 
@@ -32,6 +33,26 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+
+
+def operand(scalars: tuple):
+    """The operand rule of ``QPoly`` and ``QRat``, a decorator for a binary
+    operator of a type T: a T passes as is, a `scalars` instance becomes
+    T(other), and anything else, a list included, gives NotImplemented."""
+    def rule(op):
+        @wraps(op)
+        def coerced(self, other):
+            cls = type(self)
+            if isinstance(other, cls):
+                return op(self, other)
+            if isinstance(other, scalars):
+                return op(self, cls(other))
+            return NotImplemented
+        return coerced
+    return rule
+
+
+_operand = operand((int, Fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +233,10 @@ class QPoly:
 
     Stored as ints c_0 .. c_n over one int L > 0, for sum c_i q^i / L.
     Canonical form: no trailing zero and gcd(c_0, ..., c_n, L) = 1, so
-    equality and hashing are structural.  The zero polynomial is the
-    empty tuple over 1 and reports degree -1.  ``coeffs`` builds the
-    rational coefficients c_i / L on each read.
+    equality and hashing are structural, a constant hashing as the
+    Fraction it equals.  The zero polynomial is the empty tuple over 1
+    and reports degree -1.  ``coeffs`` builds the rational coefficients
+    c_i / L on each read.
     """
 
     __slots__ = ("_ints", "_den", "_hash")
@@ -243,26 +265,21 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self._ints)
 
+    @_operand
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QPoly(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
         return self._den == other._den and self._ints == other._ints
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._ints, self._den))
+            self._hash = hash((self._ints, self._den) if self.degree > 0
+                              else Fraction(sum(self._ints), self._den))
         return self._hash
 
     def __neg__(self) -> QPoly:
         return _poly([-c for c in self._ints], self._den)
 
+    @_operand
     def __add__(self, other) -> QPoly:
-        if isinstance(other, (int, Fraction)):
-            other = QPoly(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
         a, b, den = self._ints, other._ints, self._den
         if den != other._den:
             g = _int_gcd(den, other._den)
@@ -278,36 +295,21 @@ class QPoly:
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other) -> QPoly:
-        if isinstance(other, (int, Fraction)):
-            other = QPoly(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
         return self + (-other)
 
+    @_operand
     def __rsub__(self, other) -> QPoly:
-        return QPoly(other) - self
+        return other - self
 
+    @_operand
     def __mul__(self, other) -> QPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
         if not self._ints or not other._ints:
             return P_ZERO
         return _poly(_int_mul(self._ints, other._ints), self._den * other._den)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> QPoly:
-        c = _as_fraction(c)
-        return self._times(c.numerator, c.denominator)
-
-    def _times(self, num: int, den: int) -> QPoly:
-        """self * num / den, for a nonzero den."""
-        if not num:
-            return P_ZERO
-        return _poly([c * num for c in self._ints], self._den * den)
 
     def evaluate(self, q0) -> Fraction:
         """Exact value at a rational q0: Horner over the stored integers,

@@ -121,8 +121,7 @@ class Series:
     def __sub__(self, other) -> Series:
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_order(other)
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __mul__(self, other) -> Series:
         """Cauchy product truncated to the common order."""

@@ -63,6 +63,28 @@ def _assert_canonical(r: QRat) -> None:
     assert QRat(r.num, r.den) == r
 
 
+def _assert_hash_follows_eq(value) -> None:
+    """a == b implies hash(a) == hash(b) across int, Fraction, QPoly and
+    QRat: value against each type that can hold it, all equal."""
+    r = value if isinstance(value, QRat) else QRat(value)
+    views = [r]
+    if r.den.is_one():
+        views.append(r.num)
+        if r.num.degree < 1:
+            c = r.num.coeffs[0] if r.num else Fraction(0)
+            views += [c, c.numerator] if c.denominator == 1 else [c]
+    for a in views:
+        for b in views:
+            assert a == b and hash(a) == hash(b), (a, b)
+
+
+def test_hash_follows_eq_on_constants():
+    for c in (0, 3, -2, Fraction(5, 3)):
+        _assert_hash_follows_eq(c)
+        assert len({QRat(c), QPoly(c), Fraction(c), c}) == 1
+    assert 3 in {QRat(3)} and QRat(QPoly((0, 1))) in {QPoly((0, 1))}
+
+
 def _same_value(r: QRat, num: QPoly, den: QPoly) -> bool:
     return r.num * den == num * r.den
 
@@ -182,6 +204,7 @@ def _assert_canonical_poly(p: QPoly) -> None:
     assert den > 0 and (not ints or ints[-1])
     assert gcd(den, *ints) == 1
     assert QPoly(p.coeffs) == p and hash(QPoly(p.coeffs)) == hash(p)
+    _assert_hash_follows_eq(p)
 
 
 @hyp.settings(max_examples=100, deadline=None)
@@ -297,7 +320,7 @@ def test_sympy_agrees_on_gcd_and_cancellation(a, b):
         theirs = sympy.Poly(sympy.gcd(_sympy_expr(sympy, q, x),
                                       _sympy_expr(sympy, q, y)), q)
         monic = [Fraction(c.p, c.q) for c in reversed(theirs.monic().all_coeffs())]
-        assert QPoly(monic).scale(ours.coeffs[-1]) == ours
+        assert QPoly(monic) * ours.coeffs[-1] == ours
 
 
 # The factored and the generic QRat paths against each other.  A value is
@@ -406,6 +429,7 @@ def _check_value(ours: QRat, ref_num, ref_den, q0) -> None:
     rebuilt = QRat(ours.num, ours.den)
     assert rebuilt == ours and hash(rebuilt) == hash(ours)
     assert (rebuilt._m is None) == (ours._m is None)
+    _assert_hash_follows_eq(ours)
 
 
 @hyp.settings(max_examples=100, deadline=None)
@@ -433,20 +457,20 @@ def test_factored_and_generic_paths_agree(a, b, q0):
 @hyp.given(terms=st.lists(st.tuples(_small_value, _small_value), max_size=4),
            q0=_mixed)
 def test_frac_acc_sums_agree_across_paths(terms, q0):
-    """add, sub, add_product and sub_product over factored, generic and
-    mixed terms, against the pairwise sum of generic twins and the
-    Fraction reference."""
+    """add and add_product, of positive and negated terms, over factored,
+    generic and mixed terms, against the pairwise sum of generic twins
+    and the Fraction reference."""
     acc = FracAcc()
     expected = QRat(0)
     ref_num, ref_den = [], [1]
     for i, ((a, na, da), (b, nb, db)) in enumerate(terms):
         sign = 1 if i % 2 else -1
         if i % 4 < 2:
-            (acc.add if sign > 0 else acc.sub)(a)
+            acc.add(a if sign > 0 else -a)
             expected = expected + sign * _generic_twin(a)
             tn, td = na, da
         else:
-            (acc.add_product if sign > 0 else acc.sub_product)(a, b)
+            acc.add_product(a if sign > 0 else -a, b)
             expected = expected + sign * _generic_twin(a) * _generic_twin(b)
             tn, td = _ref_mul(na, nb), _ref_mul(da, db)
         ref_num = _ref_add(_ref_mul(ref_num, td), _ref_mul(tn, ref_den), sign)

@@ -400,7 +400,7 @@ def test_qpoly_gcd_finds_a_common_factor_of_large_coefficients():
                      + [rng.getrandbits(300) | 1])
 
     g, a, b = poly(20), poly(40), poly(39)
-    primitive = g.scale(Fraction(1, math.gcd(*(int(c) for c in g.coeffs))))
+    primitive = g * Fraction(1, math.gcd(*(int(c) for c in g.coeffs)))
     assert qpoly_gcd(a * g, b * g) == primitive
 
 
@@ -493,13 +493,13 @@ def test_exponent_vectors_are_canonical():
         a, b = rng.choice(small), rng.choice(small)
         acc = FracAcc()
         acc.add(a)
-        acc.sub(b)
+        acc.add(-b)
         acc.add_product(a, b)
         values.append(acc.value())
     # sums that cancel to 1 and to 0
     acc = FracAcc()
     acc.add(QRat.q_factorial(5) / QRat.q_factorial(4))
-    acc.sub(QRat.q_integer(5))
+    acc.add(-QRat.q_integer(5))
     acc.add(QRat.q_integer(1))
     values.append(acc.value())
     assert values[-1].is_one()
@@ -568,7 +568,7 @@ def test_pair_factors_exactly_the_cyclotomic_denominators():
     for den, lead in ((QPoly((-1, 1)), 1), (QPoly((2, -2)), -2)):
         r = QRat(num, den)
         assert r._m == (0, -1) and r.den == QPoly((-1, 1))
-        assert r.num == num.scale(Fraction(1, lead))
+        assert r.num == num * Fraction(1, lead)
     rng = random.Random(30)
     for _ in range(60):
         a = rng.randint(0, 5)
@@ -577,7 +577,7 @@ def test_pair_factors_exactly_the_cyclotomic_denominators():
         for d, e in exps.items():
             for _ in range(e):
                 den = den * QPoly(qarith._phi(d))
-        den = den.scale(Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4)))
+        den = den * Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
         r = QRat(num, den)
         want = (-a,) + tuple(-exps.get(d, 0) for d in range(1, max(exps) + 1))
         assert r._m == want, exps
@@ -622,3 +622,79 @@ def test_pair_classifies_a_long_non_cyclotomic_denominator_quickly(monkeypatch):
     assert tried and all(len(phi(d)) - 1 <= left for left, d in tried)
     assert max(len(phi(d)) - 1 for d in built) <= 59
     assert elapsed < 1.0
+
+
+def test_pair_classifies_a_degree_200_non_cyclotomic_denominator_quickly():
+    """1 + 3q + ... + 3q^199 + q^200 is palindromic and no product of
+    Phi_d.  Only the d with phi(d) <= 255 are candidates, each tested at
+    one integer point before any Phi_d is built; walking every d up to
+    2 k^2 and building each candidate's Phi_d took over half a second."""
+    den = QPoly([1] + [3] * 199 + [1])
+    start = time.perf_counter()
+    r = QRat(1, den)
+    elapsed = time.perf_counter() - start
+    assert r._m is None and r.den == den
+    assert elapsed < 0.25
+
+
+def _totient_sieve(n: int) -> list[int]:
+    phi = list(range(n))
+    for p in range(2, n):
+        if phi[p] == p:
+            for m in range(p, n, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def test_candidates_and_phi_values_match_their_definitions():
+    # phi(d) >= sqrt(d/2), so every d with phi(d) <= k is below 2 k^2 + 1.
+    phi = _totient_sieve(2 * 64 ** 2 + 1)
+    for k in range(1, 65):
+        assert qarith._totients(k) == tuple(
+            (d, t) for d, t in enumerate(phi) if d and t <= k), k
+    for d in range(120):
+        for w in (1, 2, 3, 8, 9):
+            assert qarith._phi_at.__wrapped__(d, w) == _kron_pack(qarith._phi(d), w), (d, w)
+
+
+def _trial_division(ints: list[int], phi: list[int]) -> dict | None:
+    """The Phi_d exponents of a monic ints by exact division by every
+    Phi_d whose degree fits the degree left, for d ascending."""
+    found, d = {}, 1
+    while len(ints) > 1 and d <= 2 * (len(ints) - 1) ** 2:
+        while phi[d] < len(ints):
+            try:
+                ints = qpoly._int_div_exact(ints, list(qarith._phi(d)))
+            except ArithmeticError:
+                break
+            found[d] = found.get(d, 0) - 1
+        d += 1
+    return found if len(ints) == 1 else None
+
+
+def test_cyclotomic_verdicts_match_trial_division_by_every_candidate():
+    """Products of Phi_d up to degree 48, and palindromic perturbations of
+    them, get the verdict and exponents of plain trial division."""
+    phi = _totient_sieve(2 * 48 ** 2 + 1)
+    rng = random.Random(33)
+    verdicts = set()
+    for trial in range(200):
+        ints = [1]
+        while True:
+            factor = qarith._phi(rng.choice((1, 2, 3, 5, 7, 12, 15, 21, 30, 35, 42)))
+            if len(ints) + len(factor) - 2 > 48:
+                break
+            ints = _int_mul(ints, list(factor))
+        if trial % 2 and len(ints) > 3:
+            # Perturb a pair of mirrored coefficients, keeping the symmetry.
+            i = rng.randrange(1, len(ints) // 2)
+            sign = 1 if ints == ints[::-1] else -1
+            ints[i] += 1
+            ints[-1 - i] += sign
+        want = _trial_division(list(ints), phi)
+        got = qarith._cyclotomic(QPoly(ints))
+        assert (got is None) == (want is None), ints
+        if got is not None:
+            assert got[0] == 0 and {d: e for d, e in enumerate(got) if d and e} == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}

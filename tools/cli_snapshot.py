@@ -21,10 +21,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ("bernoulli", "euler", "genocchi", "hermite")
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from qappell.families import FamilyKind  # noqa: E402
+from qappell.reports import SCOPES  # noqa: E402
+
+# The families and verify scopes come from the package, so a new one
+# enters the snapshot, and its golden, as soon as it exists.
+FAMILIES = tuple(kind.value for kind in FamilyKind)
 FORMATS = ("json", "csv", "latex")
-SCOPES = ("all", "a1", "a2", "lowering", "h1", "h2", "h0", "b1", "b2", "e1",
-          "e2", "g1", "g2", "euler-relation")
 
 
 def _tables(numbers: int, alpha: int, poly: int) -> list[list[str]]:
@@ -89,7 +95,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/cli_snapshot.py")
     parser.add_argument("golden", type=Path, help="file the digests are written to")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(ROOT / "src"))
     current = snapshot()
     args.golden.write_text(json.dumps(current, indent=1) + "\n")
     print(f"{len(current)} invocations recorded")
