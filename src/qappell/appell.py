@@ -31,24 +31,34 @@ identities and the printed Bernoulli, Euler and Genocchi claims are the
 same shapes with other weights.  Each x-power of a residual is summed
 over a common denominator and canonicalized once.
 
-Both shapes are linear in their coefficients, and the residuals are
-computed from one another by identities that hold for any polynomials,
-so each equals the direct sum of its terms, for a wrong family as for a
-right one.  A recurrence form at (family, n) is lam times a reference
-form plus the form of its coefficient differences, few or none of them
-nonzero; the reference is A_n(qx) itself until the family keeps the
-first form with a nonzero A_n(qx) coefficient, which is then the direct
-sum.  A difference form is a recurrence form plus the
-lowering defects M_{n,k} = D^k A_n - ([n]_q!/[n-k]_q!) A_{n-k}, which
-follow from M_{n,1} = D A_n - [n]_q A_{n-1} by the lowering recursion
-M_{n,k} = [n]_q M_{n-1,k-1} + D^(k-1) M_{n,1} and also give the lowering
-check.  So the cost per degree is O(n) weights, not O(n^2) products.
+Each residual equals the direct sum of its terms, for a wrong family as
+for a right one.  The x^(n-m) coefficient of the recurrence residual is
+[n m]_q q^(n-m) E_m, where E_m = [m]_q A_m - sum_k [m k]_q q^(m-k)
+alpha_k A_{m-k} is the defect of the alpha equation, one sum per m; the
+difference residual is its negative, and every lowering defect
+M_{n,k} = D^k A_n - ([n]_q!/[n-k]_q!) A_{n-k} is zero.  Those residuals
+are derived so where the premises hold through n: the q-constants are
+true, row by row (q^n = q q^(n-1), [n]_q = [n-1]_q + q^(n-1),
+[n]_q! = [n]_q [n-1]_q!, [n k]_q [k]_q! [n-k]_q! = [n]_q!, which imply
+q-Pascal and the other identities used); each cached A_n is its
+construction; the forms' bases are A_n(qx) and x A_{n-1}(x); and
+M_{n,1} = D A_n - [n]_q A_{n-1} vanishes.  Elsewhere they are direct sums.
+
+The shapes are linear in their coefficients.  A recurrence form at
+(family, n) is lam times a reference plus the form of its coefficient
+differences, few or none of them nonzero; the reference is the first
+form kept at n with a nonzero A_n(qx) coefficient, the derived
+recurrence residual or a direct sum.  A difference form is a recurrence
+form plus the lowering defects, which follow from M_{n,1} by the
+recursion M_{n,k} = [n]_q M_{n-1,k-1} + D^(k-1) M_{n,1}.  So a degree
+costs O(n) number-level arithmetic, not O(n^2) polynomial products.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .qarith import (FracAcc, QRat, QRAT_ONE, QRAT_Q, QRAT_ZERO, _as_qrat,
@@ -223,11 +233,14 @@ class AppellFamily:
         self._lock = threading.Lock()
         self._numbers: list[QRat] = []
         self._alphas: list[QRat] = []
+        self._alpha_defects: list[QRat] = []
         self._polys: dict[int, XPoly] = {}
-        # Per degree n: the reference recurrence form (see recurrence_form)
-        # and the lowering defects M_{n,0} .. M_{n,n} (see lowering_defects).
+        # Per degree n: the reference recurrence form (see recurrence_form),
+        # the lowering defects M_{n,0} .. M_{n,n} (see lowering_defects)
+        # and whether the family's premises hold at n (see _premises_at).
         self._references: dict[int, tuple] = {}
         self._defects: dict[int, tuple[XPoly, ...]] = {}
+        self._premises: dict[int, bool] = {}
         self._generator: Series | None = None
         head = self.numbers(1 if order > 0 else 0)
         self.shifted = head[0].is_zero()
@@ -272,14 +285,13 @@ class AppellFamily:
         with self._lock:
             cached = self._polys.get(n)
             if cached is None:
-                nums = self._numbers_upto(n)
-                coeffs = []
-                for k in range(n, -1, -1):
-                    # coefficient of x^(n-k)
-                    coeffs.append(nums[k] * _qb(n, k))
-                cached = XPoly(coeffs)
-                self._polys[n] = cached
+                cached = self._polys[n] = self._construction(n)
             return cached
+
+    def _construction(self, n: int) -> XPoly:
+        # The caller holds the lock.  The x^(n-k) coefficient is [n k]_q A_k.
+        nums = self._numbers_upto(n)
+        return XPoly([nums[k] * _qb(n, k) for k in range(n, -1, -1)])
 
     def alphas(self, upto: int) -> tuple[QRat, ...]:
         """alpha_0 .. alpha_upto, the divided-power coefficients of
@@ -301,6 +313,26 @@ class AppellFamily:
                 al.append(self._alpha(len(al)))
             return tuple(al[: upto + 1])
 
+    def alpha_defects(self, upto: int) -> tuple[QRat, ...]:
+        """E_0 .. E_upto, E_m = [m]_q A_m - sum_k [m k]_q q^(m-k) alpha_k
+        A_{m-k}: the defects of the equation that defines the alphas,
+        all zero when they are its solution.  Each is one FracAcc sum."""
+        alphas = self.alphas(upto)
+        with self._lock:
+            es = self._alpha_defects
+            while len(es) <= upto:
+                m = len(es)
+                es.append(solve_step(self._numbers_upto(m)[m] * _qi(m),
+                                     self._terms(m, alphas[: m + 1]), QRAT_ONE))
+            return tuple(es[: upto + 1])
+
+    def _terms(self, m: int, alphas) -> list[tuple[QRat, QRat]]:
+        # The caller holds the lock: the nonzero (weight alpha_k, A_{m-k})
+        # pairs of the alpha equation at m, for the given alphas.
+        nums = self._numbers_upto(m)
+        return [(_qb(m, k) * _qp(m - k) * a, nums[m - k])
+                for k, a in enumerate(alphas) if a and nums[m - k]]
+
     def _keep(self, table: dict, n: int, value):
         """Store value at n unless another thread stored one first, and
         return the stored value.  Values are computed outside the lock,
@@ -312,10 +344,8 @@ class AppellFamily:
         # The caller holds the lock and has alpha_0 .. alpha_{n-1}.
         m = n + 1 if self.shifted else n
         nums = self._numbers_upto(m)
-        terms = ((_qb(m, k) * _qp(m - k) * a, nums[m - k])
-                 for k, a in enumerate(self._alphas) if a and nums[m - k])
         pivot = nums[m - n] * _qb(m, n) * _qp(m - n)
-        return solve_step(nums[m] * _qi(m), terms, pivot)
+        return solve_step(nums[m] * _qi(m), self._terms(m, self._alphas), pivot)
 
 
 class DegreeRangeError(ValueError):
@@ -382,6 +412,14 @@ def _basis(fam: AppellFamily, n: int, key) -> XPoly:
     return fam.polynomial(key)
 
 
+def _coefficients(at_qx: QRat, at_x: QRat, weights) -> dict:
+    """A recurrence form's coefficients, keyed as in ``_basis``."""
+    coeffs = {"qx": at_qx, "x": at_x}
+    for j, w in weights:
+        coeffs[j] = coeffs[j] + w if j in coeffs else w
+    return coeffs
+
+
 def recurrence_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
                     weights) -> XPoly:
     """at_qx A_n(qx) + at_x x A_{n-1}(x) + sum w A_j(x) over the (j, w)
@@ -394,11 +432,10 @@ def recurrence_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
     polynomial, over the coefficients where that is nonzero, with
     lam = at_qx / c0["qx"]; at "qx" the difference is zero.  Before the
     family keeps one at n, the reference is 1 A_n(qx), so the sum is the
-    direct one; the first form with at_qx != 0 is kept as the reference.
+    direct one; the first form with at_qx != 0 is kept as the reference,
+    unless the derived recurrence residual was kept first.
     """
-    coeffs = {"qx": at_qx, "x": at_x}
-    for j, w in weights:
-        coeffs[j] = coeffs[j] + w if j in coeffs else w
+    coeffs = _coefficients(at_qx, at_x, weights)
     c0, r0 = fam._references.get(n) or ({"qx": QRAT_ONE}, _basis(fam, n, "qx"))
     lam = at_qx / c0["qx"]
     diffs = ((key, _less(coeffs.get(key, QRAT_ZERO), lam, c0.get(key, QRAT_ZERO)))
@@ -432,7 +469,8 @@ def lowering_defects(fam: AppellFamily, n: int) -> tuple[XPoly, ...]:
             for k in range(2, m + 1):
                 if not dm.is_zero():
                     dm = dm.q_derivative()
-                ms.append(_sum([(qm, below[k - 1]), (QRAT_ONE, dm)]))
+                ms.append(_sum([(qm, below[k - 1]), (QRAT_ONE, dm)])
+                          if dm.coeffs or below[k - 1].coeffs else dm)
         fam._keep(table, m, tuple(ms))
     return table[n]
 
@@ -458,16 +496,75 @@ def difference_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
     return form + _sum(defects) if defects else form
 
 
+@lru_cache(maxsize=None)
+def _row_holds(constants: tuple, n: int) -> bool:
+    """Whether the functions in `constants` give the true q^n, [n]_q,
+    [n]_q! and row n of [n k]_q, given the rows below n: by the row rules
+    of the module docstring, from q^0 = 1, [0]_q = 0 and [0]_q! = 1.
+    Keyed by the functions, so each set of them is checked once."""
+    qp, qi, qf, qb = constants
+    if n == 0:
+        return qp(0) == 1 and qi(0) == 0 and qf(0) == 1 and qb(0, 0) == 1
+    return (qp(n) == QRAT_Q * qp(n - 1) and qi(n) == qi(n - 1) + qp(n - 1)
+            and qf(n) == qi(n) * qf(n - 1)
+            and all(qb(n, k) * qf(k) * qf(n - k) == qf(n) for k in range(n + 1)))
+
+
+def _derivable(fam: AppellFamily, n: int) -> bool:
+    """Whether every premise of the number-level derivation (see the
+    module docstring) holds through degree n."""
+    for m in range(n + 1):
+        if not _row_holds((_qp, _qi, _qf, _qb), m):
+            return False
+        held = fam._premises.get(m)
+        if held is None:
+            held = fam._keep(fam._premises, m, _premises_at(fam, m))
+        if not held:
+            return False
+    return True
+
+
+def _premises_at(fam: AppellFamily, n: int) -> bool:
+    """Degree n's own premises: the cached A_n is its construction, the
+    bases at n are A_n(qx) and x A_{n-1}(x), and M_{n,1} = 0."""
+    p = fam.polynomial(n)
+    with fam._lock:
+        built = fam._construction(n)
+    if p != built or _basis(fam, n, "qx") != XPoly(
+            [c * _qp(j) for j, c in enumerate(p.coeffs)]):
+        return False
+    return n == 0 or (
+        _basis(fam, n, "x") == XPoly((QRAT_ZERO, *fam.polynomial(n - 1).coeffs))
+        and lowering_defects(fam, n)[1].is_zero())
+
+
+def _derived_residual(fam: AppellFamily, n: int) -> XPoly:
+    """The recurrence residual where the premises hold through n:
+    sum_m [n m]_q q^(n-m) E_m x^(n-m)."""
+    es = fam.alpha_defects(n)
+    return XPoly([_qb(n, m) * _qp(n - m) * es[m] for m in range(n, -1, -1)])
+
+
 def recurrence_residual(fam: AppellFamily, n: int) -> XPoly:
     """[n]_q A_n(qx) - sum_k [n k]_q alpha_k q^(n-k) A_{n-k}(x)
-    - x [n]_q q^n A_{n-1}(x), identically zero when the recurrence holds."""
+    - x [n]_q q^n A_{n-1}(x), identically zero when the recurrence holds.
+    Where the premises hold it is derived, and kept with its
+    coefficients as the reference at n."""
     alphas = fam.alphas(n)
-    return recurrence_form(fam, n, _qi(n), -_qi(n) * _qp(n), (
-        (n - k, -alphas[k] * _qb(n, k) * _qp(n - k)) for k in range(n + 1)))
+    at_qx, at_x = _qi(n), -_qi(n) * _qp(n)
+    weights = ((n - k, -alphas[k] * _qb(n, k) * _qp(n - k)) for k in range(n + 1))
+    if not _derivable(fam, n):
+        return recurrence_form(fam, n, at_qx, at_x, weights)
+    form = _derived_residual(fam, n)
+    fam._keep(fam._references, n, (_coefficients(at_qx, at_x, weights), form))
+    return form
 
 
 def difference_residual(fam: AppellFamily, n: int) -> XPoly:
-    """sum_k (q^(n-k) alpha_k/[k]_q!) D^k A_n + x q^n D A_n - [n]_q A_n(qx)."""
+    """sum_k (q^(n-k) alpha_k/[k]_q!) D^k A_n + x q^n D A_n - [n]_q A_n(qx),
+    the negative of the recurrence residual where the premises hold."""
+    if _derivable(fam, n):
+        return -_derived_residual(fam, n)
     alphas = fam.alphas(n)
     return difference_form(fam, n, -_qi(n), _qp(n), (
         (k, alphas[k] * _qp(n - k) / _qf(k)) for k in range(n + 1)))

@@ -24,12 +24,12 @@ MAX_N = 32
 
 _LIMITS = f"""\
 limits: --order <= {MAX_ORDER}; --max-n, --n <= {MAX_N}.  Wall time of one run
-(median of 5 runs, Python 3.11, 2-vCPU x86-64 VM):
+(median of 5 runs, 11 for verify, Python 3.11, 2-vCPU x86-64 VM):
   numbers, alpha, poly at n <= 24, any family       <= 0.25 s
   alpha --family bernoulli --max-n 31                0.58 s
-  verify --scope all --max-n 12 | 16 | 20 | 24       0.17 s | 0.26 s | 0.47 s | 0.92 s
-  verify --scope all --max-n 32                      4.1 s
-  verify --scope h0 --max-n 4 --order 140 | 200      0.13 s | 0.13 s
+  verify --scope all --max-n 12 | 16 | 20 | 24       0.15 s | 0.18 s | 0.26 s | 0.44 s
+  verify --scope all --max-n 32                      1.7 s
+  verify --scope h0 --max-n 4 --order 140 | 200      0.08 s | 0.08 s
 """
 
 _FAMILY_SYMBOLS = {"bernoulli": "B", "euler": "E", "genocchi": "G", "hermite": "H"}

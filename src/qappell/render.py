@@ -1,5 +1,4 @@
-"""Serialization of kernel values: JSON (with parsers for round-trips),
-CSV tables, and LaTeX.
+"""Serialization of kernel values: JSON, CSV tables, and LaTeX.
 
 JSON schemas
 ------------
@@ -30,28 +29,12 @@ def qpoly_to_json(p: QPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def qpoly_from_json(data) -> QPoly:
-    return QPoly([Fraction(s) for s in data])
-
-
 def qrat_to_json(r: QRat) -> dict:
     return {"num": qpoly_to_json(r.num), "den": qpoly_to_json(r.den)}
 
 
-def qrat_from_json(data) -> QRat:
-    return QRat(qpoly_from_json(data["num"]), qpoly_from_json(data["den"]))
-
-
 def xpoly_to_json(p: XPoly) -> dict:
     return {"n": p.degree, "coeffs": [qrat_to_json(c) for c in p.coeffs]}
-
-
-def xpoly_from_json(data) -> XPoly:
-    p = XPoly([qrat_from_json(c) for c in data["coeffs"]])
-    if p.degree != data["n"]:
-        raise ValueError(f"XPoly JSON gives n = {data['n']}, but its "
-                         f"coefficients have degree {p.degree}")
-    return p
 
 
 def dumps(obj) -> str:

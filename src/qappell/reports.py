@@ -126,10 +126,3 @@ def run_scope(scope: str, max_n: int, order: int,
         "hard": [verification_to_json(r) for r in hard],
         "descriptive": [discrepancy_to_json(r) for r in descriptive],
     }
-
-
-def discrepancy_report(printed_max_n: int = 10,
-                       euler_max_n: int = 8) -> list[dict]:
-    """The canonical descriptive report (the golden file content)."""
-    reports = descriptive_reports("all", printed_max_n, euler_max_n)
-    return [discrepancy_to_json(r) for r in reports]

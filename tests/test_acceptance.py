@@ -18,8 +18,9 @@ from qappell.hermite import (hermite_series_form, verify_cross_construction,
                              verify_hermite_difference_range,
                              verify_hermite_generator_ratio,
                              verify_hermite_recurrence_range)
-from qappell import render, reports
+from qappell import render
 
+import helpers
 import oracles
 
 FAMILIES = (FamilyKind.BERNOULLI, FamilyKind.EULER,
@@ -141,14 +142,14 @@ def test_criterion_6_cross_construction_equality():
 
 def test_criterion_7_descriptive_checks_complete():
     with criterion(7, "printed claims 2<=n<=10 + Euler relation n<=8, golden"):
-        data = reports.discrepancy_report(printed_max_n=10, euler_max_n=8)
+        data = helpers.discrepancy_report(printed_max_n=10, euler_max_n=8)
         claims = [entry["claim"] for entry in data]
         assert claims == ["b1", "b2", "e1[numbers]", "e1[values]", "e2",
                           "g1", "g2", "h0-normalization", "euler-relation"]
         for entry in data:
             assert entry["status"] in ("confirmed", "refuted")
         text = render.dumps(data)
-        assert text == render.dumps(reports.discrepancy_report(
+        assert text == render.dumps(helpers.discrepancy_report(
             printed_max_n=10, euler_max_n=8))
         import pathlib
         golden = pathlib.Path(__file__).parent / "golden" / "discrepancy_report.json"

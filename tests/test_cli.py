@@ -14,6 +14,8 @@ from qappell.qarith import QRat
 from qappell.cli import MAX_N, MAX_ORDER, build_parser, main
 from qappell.families import FamilyKind, make_family
 
+import helpers
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -92,7 +94,7 @@ def test_poly_at_x_symbolic(capsys):
                            "--at-x", "0")
     assert code == 0
     payload = json.loads(out)
-    assert render.qrat_from_json(payload["value"]).evaluate(Fraction(1, 2)) == Fraction(-2, 3)
+    assert helpers.qrat_from_json(payload["value"]).evaluate(Fraction(1, 2)) == Fraction(-2, 3)
 
 
 def test_poly_pole_exit_code(capsys):
@@ -283,7 +285,7 @@ def test_json_round_trip_bytes(capsys):
     code, out, _ = run_cli(capsys, "poly", "--family", "euler", "--n", "5")
     assert code == 0
     payload = json.loads(out)
-    poly = render.xpoly_from_json(payload["poly"])
+    poly = helpers.xpoly_from_json(payload["poly"])
     re_emitted = render.dumps({"family": "euler", "n": 5,
                                "poly": render.xpoly_to_json(poly)})
     assert re_emitted == out
@@ -291,7 +293,7 @@ def test_json_round_trip_bytes(capsys):
 
 def test_parsed_table_values_are_factored_and_equal_the_family_values(capsys):
     """Every value of ``numbers --max-n 24`` and ``alpha --max-n 23``
-    parses back through qrat_from_json to a factored value equal to the
+    parses back through helpers.qrat_from_json to a factored value equal to the
     family's own, for all four families."""
     for kind in FamilyKind:
         fam = make_family(kind)
@@ -299,7 +301,7 @@ def test_parsed_table_values_are_factored_and_equal_the_family_values(capsys):
             code, out, _ = run_cli(capsys, command, "--family", kind.value,
                                    "--max-n", str(n))
             assert code == 0
-            parsed = [render.qrat_from_json(v) for v in json.loads(out)[command]]
+            parsed = [helpers.qrat_from_json(v) for v in json.loads(out)[command]]
             assert parsed == list(own(n)), (kind, command)
             assert all(r._m is not None for r in parsed), (kind, command)
 
@@ -307,11 +309,11 @@ def test_parsed_table_values_are_factored_and_equal_the_family_values(capsys):
 def test_xpoly_json_degree_must_match_n():
     one = render.qrat_to_json(QRat(1))
     with pytest.raises(ValueError, match="n = 3"):
-        render.xpoly_from_json({"n": 3, "coeffs": [one]})
+        helpers.xpoly_from_json({"n": 3, "coeffs": [one]})
     with pytest.raises(ValueError, match="n = 0"):
-        render.xpoly_from_json({"n": 0, "coeffs": []})
-    assert render.xpoly_from_json({"n": -1, "coeffs": []}).is_zero()
-    assert render.xpoly_from_json({"n": 0, "coeffs": [one]}) == XPoly([1])
+        helpers.xpoly_from_json({"n": 0, "coeffs": []})
+    assert helpers.xpoly_from_json({"n": -1, "coeffs": []}).is_zero()
+    assert helpers.xpoly_from_json({"n": 0, "coeffs": [one]}) == XPoly([1])
 
 
 def test_rendering_is_deterministic(capsys):

@@ -1,8 +1,9 @@
-"""The residuals that appell derives from one another (a reference
-recurrence form per degree, coefficient differences and the lowering
-defects) equal the direct sums of their terms, on right and wrong
-families alike, in any call order and across threads; and a fault in a
-weight, a derivative or a substitution still reaches the report.
+"""The residuals that appell derives (a1 and a2 from the alpha-equation
+defects, a reference recurrence form per degree, coefficient
+differences and the lowering defects) equal the direct sums of their
+terms, on right and wrong families alike, in any call order and across
+threads; and a fault in a weight, an alpha, a derivative or a
+substitution still reaches the report.
 
 The direct forms below are the plain definitions: every term multiplied
 out and summed, the derivatives taken one at a time.
@@ -56,8 +57,10 @@ def direct_lowering(fam, n, k):
 @contextmanager
 def direct_forms():
     """Every module's recurrence_form and difference_form replaced by the
-    direct sums, so the public residual functions compute them."""
+    direct sums, and the number-level derivation of a1 and a2 turned
+    off, so the public residual functions compute the direct sums."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(appell, "_derivable", lambda fam, n: False)
         for module in (appell, families, hermite):
             mp.setattr(module, "recurrence_form", direct_recurrence_form)
             mp.setattr(module, "difference_form", direct_difference_form)
@@ -90,6 +93,14 @@ def _series_family() -> AppellFamily:
     return AppellFamily("series", Series(coeffs))
 
 
+def _alpha_perturbed() -> AppellFamily:
+    # alpha_3 changed after the solve: E_m != 0 for m >= 3.
+    fam = families._family.__wrapped__(FamilyKind.BERNOULLI, ORDER)
+    fam.alphas(ORDER - 1)
+    fam._alphas[3] = fam._alphas[3] + QRAT_Q
+    return fam
+
+
 # Fresh families, so that each test's call order decides the references.
 FAMILIES = {
     **{kind.value: (lambda kind=kind: families._family.__wrapped__(kind, ORDER))
@@ -100,6 +111,7 @@ FAMILIES = {
         FamilyKind.GENOCCHI, 5, QRat(QPoly((1, 1)), QPoly((1, 0, 1)))),
     "H_6+q": lambda: _perturbed(FamilyKind.HERMITE, 6, QRat.q_power(1)),
     "series": _series_family,
+    "alpha_3+q": _alpha_perturbed,
 }
 
 
@@ -127,6 +139,7 @@ def _assert_lowering(fam, lowering):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_derived_residuals_equal_direct_sums(family, printed_first):
     fam = FAMILIES[family]()
+    assert appell._derivable(fam, MAX_N)
     forms = _PRINTED + _HARD if printed_first else _HARD + _PRINTED
     direct, lowering = _direct_values(fam, forms)
     if not printed_first:
@@ -139,8 +152,7 @@ def test_derived_residuals_equal_direct_sums(family, printed_first):
     assert any(not r.is_zero() for r in direct.values())
 
 
-def test_derived_residuals_equal_direct_sums_across_threads():
-    fam = FAMILIES["B_4+q^2"]()
+def _assert_direct_across_threads(fam):
     forms = _HARD + _PRINTED
     direct, lowering = _direct_values(fam, forms)
     got, errors = {}, []
@@ -171,7 +183,24 @@ def test_derived_residuals_equal_direct_sums_across_threads():
     _assert_lowering(fam, lowering)
 
 
+def test_derived_residuals_equal_direct_sums_across_threads():
+    for family in FAMILIES:
+        _assert_direct_across_threads(FAMILIES[family]())
+
+
 # Faults must still reach the reports through the derivation.
+
+def test_changed_alpha_fails_a1_and_a2_with_the_direct_residuals():
+    fam = FAMILIES["alpha_3+q"]()
+    reports = [verify(fam, 1, MAX_N)
+               for verify in (verify_recurrence_range, verify_difference_range)]
+    assert [(r.passed, r.first_failure) for r in reports] == [(False, 3)] * 2
+    with direct_forms():
+        assert [r.residuals for r in reports] == [
+            verify(fam, 1, MAX_N).residuals
+            for verify in (verify_recurrence_range, verify_difference_range)]
+    assert verify_lowering_range(fam, MAX_N).passed
+
 
 def test_off_by_one_q_power_in_a2_weights_fails_a2(monkeypatch):
     fam = FAMILIES["bernoulli"]()
@@ -217,6 +246,16 @@ def test_perturbed_scale_x_fails_a1(monkeypatch):
     report = verify_recurrence_range(fam, 1, MAX_N)
     assert not report.passed and report.first_failure == 1
     assert not verify_difference_range(fam, 1, MAX_N).passed
+
+
+def test_perturbed_times_x_fails_a1(monkeypatch):
+    fam = FAMILIES["hermite"]()
+    true_times_x = XPoly.times_x
+    monkeypatch.setattr(XPoly, "times_x", lambda self: true_times_x(self).scale_x(QRAT_Q))
+    report = verify_recurrence_range(fam, 1, MAX_N)
+    assert not report.passed and report.first_failure == 1
+    with direct_forms():
+        assert report.residuals == verify_recurrence_range(fam, 1, MAX_N).residuals
 
 
 def test_changed_b1_weight_is_refuted_with_the_direct_residual(monkeypatch):

@@ -1,24 +1,25 @@
 import json
 import pathlib
 
+import helpers
 from qappell import render, reports
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "discrepancy_report.json"
 
 
 def test_discrepancy_report_matches_golden_file():
-    text = render.dumps(reports.discrepancy_report())
+    text = render.dumps(helpers.discrepancy_report())
     assert text.encode() == GOLDEN.read_bytes()
 
 
 def test_discrepancy_report_reruns_byte_identical():
-    first = render.dumps(reports.discrepancy_report())
-    second = render.dumps(reports.discrepancy_report())
+    first = render.dumps(helpers.discrepancy_report())
+    second = render.dumps(helpers.discrepancy_report())
     assert first == second
 
 
 def test_discrepancy_report_covers_all_claims_in_order():
-    claims = [entry["claim"] for entry in reports.discrepancy_report()]
+    claims = [entry["claim"] for entry in helpers.discrepancy_report()]
     assert claims == ["b1", "b2", "e1[numbers]", "e1[values]", "e2",
                       "g1", "g2", "h0-normalization", "euler-relation"]
 
@@ -51,7 +52,7 @@ def test_verification_json_schema_fields():
     payload = reports.run_scope("a1", 4, 6)
     entry = payload["hard"][0]
     assert set(entry) == {"theorem", "family", "max_n", "passed", "first_failure"}
-    d = reports.discrepancy_report()[0]
+    d = helpers.discrepancy_report()[0]
     assert set(d) == {"claim", "status", "counterexample_n", "residual"}
 
 

@@ -12,8 +12,8 @@ verify-all at ``--trace 1`` five times per tree (seeds 101 to 105,
 alternating in the same way), since per-layer self times swing more than
 2x between runs of one tree; it keeps every traced run and writes each
 side's per-metric median.  A ``depth`` block, which no gate reads,
-times ``python -m qappell verify --scope all --max-n M`` for M in 20
-and 24 as fresh processes, five alternating pairs per tree, and records
+times ``python -m qappell verify --scope all --max-n M`` for M in 20,
+24 and 32 as fresh processes, five alternating pairs per tree, and records
 every wall time, each side's median and the change's wins.  The file
 also records the
 seeds, the pair count, ``platform.platform()`` and ``sys.version``, the
@@ -43,7 +43,7 @@ TRACE_WORKLOAD = "verify-all"
 PAIRS = 10
 TRACE_PAIRS = 5
 FIRST_SEED = 101
-DEPTH_MAX_N = (20, 24)
+DEPTH_MAX_N = (20, 24, 32)
 DEPTH_PAIRS = 5
 
 
