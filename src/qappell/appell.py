@@ -37,21 +37,21 @@ for a right one.  The x^(n-m) coefficient of the recurrence residual is
 alpha_k A_{m-k} is the defect of the alpha equation, one sum per m; the
 difference residual is its negative, and every lowering defect
 M_{n,k} = D^k A_n - ([n]_q!/[n-k]_q!) A_{n-k} is zero.  Those residuals
-are derived so where the premises hold through n: the q-constants are
-true, row by row (q^n = q q^(n-1), [n]_q = [n-1]_q + q^(n-1),
-[n]_q! = [n]_q [n-1]_q!, [n k]_q [k]_q! [n-k]_q! = [n]_q!, which imply
-q-Pascal and the other identities used); each cached A_n is its
-construction; the forms' bases are A_n(qx) and x A_{n-1}(x); and
+are derived so at n where the premises hold at n and n - 1 was derived:
+the q-constants of row n are true (q^n = q q^(n-1), [n]_q = [n-1]_q +
+q^(n-1), [n]_q! = [n]_q [n-1]_q!, [n k]_q [k]_q! [n-k]_q! = [n]_q!,
+which imply q-Pascal and the other identities used); the cached A_n is
+its construction; the forms' bases are A_n(qx) and x A_{n-1}(x); and
 M_{n,1} = D A_n - [n]_q A_{n-1} vanishes.  Elsewhere they are direct sums.
 
-The shapes are linear in their coefficients.  A recurrence form at
-(family, n) is lam times a reference plus the form of its coefficient
-differences, few or none of them nonzero; the reference is the first
-form kept at n with a nonzero A_n(qx) coefficient, the derived
-recurrence residual or a direct sum.  A difference form is a recurrence
-form plus the lowering defects, which follow from M_{n,1} by the
-recursion M_{n,k} = [n]_q M_{n-1,k-1} + D^(k-1) M_{n,1}.  So a degree
-costs O(n) number-level arithmetic, not O(n^2) polynomial products.
+The shapes are linear in their coefficients.  The family keeps one
+reference per degree: a1's coefficients, a1's residual and whether it
+was derived.  Any recurrence form at n is lam times that residual plus
+the form of its coefficient differences, few or none of them nonzero.
+A difference form is a recurrence form plus the lowering defects, which
+follow from M_{n,1} by the recursion M_{n,k} = [n]_q M_{n-1,k-1} +
+D^(k-1) M_{n,1}.  So a degree costs O(n) number-level arithmetic, not
+O(n^2) polynomial products.
 """
 
 from __future__ import annotations
@@ -235,12 +235,10 @@ class AppellFamily:
         self._alphas: list[QRat] = []
         self._alpha_defects: list[QRat] = []
         self._polys: dict[int, XPoly] = {}
-        # Per degree n: the reference recurrence form (see recurrence_form),
-        # the lowering defects M_{n,0} .. M_{n,n} (see lowering_defects)
-        # and whether the family's premises hold at n (see _premises_at).
+        # Per degree n: a1's record (see _reference) and the lowering
+        # defects M_{n,0} .. M_{n,n} (see lowering_defects).
         self._references: dict[int, tuple] = {}
         self._defects: dict[int, tuple[XPoly, ...]] = {}
-        self._premises: dict[int, bool] = {}
         self._generator: Series | None = None
         head = self.numbers(1 if order > 0 else 0)
         self.shifted = head[0].is_zero()
@@ -412,38 +410,27 @@ def _basis(fam: AppellFamily, n: int, key) -> XPoly:
     return fam.polynomial(key)
 
 
-def _coefficients(at_qx: QRat, at_x: QRat, weights) -> dict:
-    """A recurrence form's coefficients, keyed as in ``_basis``."""
-    coeffs = {"qx": at_qx, "x": at_x}
-    for j, w in weights:
-        coeffs[j] = coeffs[j] + w if j in coeffs else w
-    return coeffs
-
-
 def recurrence_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
                     weights) -> XPoly:
     """at_qx A_n(qx) + at_x x A_{n-1}(x) + sum w A_j(x) over the (j, w)
     pairs of `weights`: the shape of the recurrence a1 and of every
     recurrence specialized from it.
 
-    The form is linear in its coefficients.  So against a reference, a
-    form with coefficients c0 (keyed "qx", "x" and j as in ``_basis``)
-    and residual R0, it is lam R0 plus the sum of (c - lam c0) times its
+    The form is linear in its coefficients.  So against a1's record at n,
+    with coefficients c0 (keyed "qx", "x" and j as in ``_basis``) and
+    residual R0, it is lam R0 plus the sum of (c - lam c0) times its
     polynomial, over the coefficients where that is nonzero, with
-    lam = at_qx / c0["qx"]; at "qx" the difference is zero.  Before the
-    family keeps one at n, the reference is 1 A_n(qx), so the sum is the
-    direct one; the first form with at_qx != 0 is kept as the reference,
-    unless the derived recurrence residual was kept first.
+    lam = at_qx / [n]_q; at "qx" the difference is zero.  So n >= 1, as
+    in every identity checked.
     """
-    coeffs = _coefficients(at_qx, at_x, weights)
-    c0, r0 = fam._references.get(n) or ({"qx": QRAT_ONE}, _basis(fam, n, "qx"))
+    coeffs = {"qx": at_qx, "x": at_x}
+    for j, w in weights:
+        coeffs[j] = coeffs[j] + w if j in coeffs else w
+    c0, r0, _ = _reference(fam, n)
     lam = at_qx / c0["qx"]
     diffs = ((key, _less(coeffs.get(key, QRAT_ZERO), lam, c0.get(key, QRAT_ZERO)))
              for key in {**c0, **coeffs})
-    form = _sum([(lam, r0), *((c, _basis(fam, n, key)) for key, c in diffs if c)])
-    if at_qx:
-        fam._keep(fam._references, n, (coeffs, form))
-    return form
+    return _sum([(lam, r0), *((c, _basis(fam, n, key)) for key, c in diffs if c)])
 
 
 def lowering_defects(fam: AppellFamily, n: int) -> tuple[XPoly, ...]:
@@ -511,17 +498,11 @@ def _row_holds(constants: tuple, n: int) -> bool:
 
 
 def _derivable(fam: AppellFamily, n: int) -> bool:
-    """Whether every premise of the number-level derivation (see the
-    module docstring) holds through degree n."""
-    for m in range(n + 1):
-        if not _row_holds((_qp, _qi, _qf, _qb), m):
-            return False
-        held = fam._premises.get(m)
-        if held is None:
-            held = fam._keep(fam._premises, m, _premises_at(fam, m))
-        if not held:
-            return False
-    return True
+    """Whether a1's residual at n is derived (see the module docstring):
+    row n of the q-constants holds, degree n's premises hold and degree
+    n - 1's residual was derived."""
+    return (_row_holds((_qp, _qi, _qf, _qb), n) and _premises_at(fam, n)
+            and (n == 0 or _reference(fam, n - 1)[2]))
 
 
 def _premises_at(fam: AppellFamily, n: int) -> bool:
@@ -538,33 +519,41 @@ def _premises_at(fam: AppellFamily, n: int) -> bool:
         and lowering_defects(fam, n)[1].is_zero())
 
 
-def _derived_residual(fam: AppellFamily, n: int) -> XPoly:
-    """The recurrence residual where the premises hold through n:
-    sum_m [n m]_q q^(n-m) E_m x^(n-m)."""
-    es = fam.alpha_defects(n)
-    return XPoly([_qb(n, m) * _qp(n - m) * es[m] for m in range(n, -1, -1)])
+def _reference(fam: AppellFamily, n: int) -> tuple[dict, XPoly, bool]:
+    """a1's record at n: its coefficients, keyed as in ``_basis``, its
+    residual, sum_m [n m]_q q^(n-m) E_m x^(n-m) where derivable and the
+    direct sum of its terms elsewhere, and whether it was derived.  The
+    family keeps the records of every degree up to n, built in order."""
+    table = fam._references
+    for m in range(n + 1):
+        if m in table:
+            continue
+        coeffs = {"qx": _qi(m), "x": -_qi(m) * _qp(m), **{
+            m - k: -a * _qb(m, k) * _qp(m - k) for k, a in enumerate(fam.alphas(m))}}
+        derived = _derivable(fam, m)
+        if derived:
+            es = fam.alpha_defects(m)
+            form = XPoly([_qb(m, j) * _qp(m - j) * es[j] for j in range(m, -1, -1)])
+        else:
+            form = _sum([(c, _basis(fam, m, key)) for key, c in coeffs.items() if c])
+        fam._keep(table, m, (coeffs, form, derived))
+    return table[n]
 
 
 def recurrence_residual(fam: AppellFamily, n: int) -> XPoly:
     """[n]_q A_n(qx) - sum_k [n k]_q alpha_k q^(n-k) A_{n-k}(x)
-    - x [n]_q q^n A_{n-1}(x), identically zero when the recurrence holds.
-    Where the premises hold it is derived, and kept with its
-    coefficients as the reference at n."""
-    alphas = fam.alphas(n)
-    at_qx, at_x = _qi(n), -_qi(n) * _qp(n)
-    weights = ((n - k, -alphas[k] * _qb(n, k) * _qp(n - k)) for k in range(n + 1))
-    if not _derivable(fam, n):
-        return recurrence_form(fam, n, at_qx, at_x, weights)
-    form = _derived_residual(fam, n)
-    fam._keep(fam._references, n, (_coefficients(at_qx, at_x, weights), form))
-    return form
+    - x [n]_q q^n A_{n-1}(x), identically zero when the recurrence holds:
+    the residual of a1's record at n."""
+    return _reference(fam, n)[1]
 
 
 def difference_residual(fam: AppellFamily, n: int) -> XPoly:
-    """sum_k (q^(n-k) alpha_k/[k]_q!) D^k A_n + x q^n D A_n - [n]_q A_n(qx),
-    the negative of the recurrence residual where the premises hold."""
-    if _derivable(fam, n):
-        return -_derived_residual(fam, n)
+    """sum_k (q^(n-k) alpha_k/[k]_q!) D^k A_n + x q^n D A_n - [n]_q A_n(qx):
+    the negative of a1's residual where that was derived, the difference
+    form elsewhere."""
+    _, residual, derived = _reference(fam, n)
+    if derived:
+        return -residual
     alphas = fam.alphas(n)
     return difference_form(fam, n, -_qi(n), _qp(n), (
         (k, alphas[k] * _qp(n - k) / _qf(k)) for k in range(n + 1)))

@@ -200,8 +200,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_point_values(
         sys.argv[1:] if argv is None else list(argv)))
-    if args.order > MAX_ORDER:
-        raise _usage_error(f"--order must be <= {MAX_ORDER}")
+    _check_range("--order", args.order, 0, MAX_ORDER)
     try:
         return args.func(args)
     except PoleError as exc:

@@ -42,16 +42,14 @@ def hermite_series_form(n: int) -> XPoly:
     return printed_series_form(n).scale(_qf(n))
 
 
-def recurrence_residual(n: int, fam: AppellFamily | None = None) -> XPoly:
+def recurrence_residual(n: int, fam: AppellFamily) -> XPoly:
     """H_n(qx) - x q^n H_{n-1}(x) + [n-1]_q q^(n-2) H_{n-2}(x)."""
-    fam = fam or make_family(FamilyKind.HERMITE)
     return recurrence_form(fam, n, QRAT_ONE, -_qp(n),
                            [(n - 2, _qi(n - 1) * _qp(n - 2))])
 
 
-def difference_residual(n: int, fam: AppellFamily | None = None) -> XPoly:
+def difference_residual(n: int, fam: AppellFamily) -> XPoly:
     """q^(n-2) D^2 H_n - x q^n D H_n + [n]_q H_n(qx)."""
-    fam = fam or make_family(FamilyKind.HERMITE)
     return difference_form(fam, n, _qi(n), -_qp(n), [(2, _qp(n - 2))])
 
 

@@ -204,6 +204,13 @@ def test_inputs_above_the_limits_are_usage_errors(argv, flag, limit):
     assert proc.stderr == f"error: {flag} must be <= {limit}\n"
 
 
+def test_a_negative_order_is_a_usage_error():
+    proc = run_module("numbers", "--family", "bernoulli", "--max-n", 3, "--order", -5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --order must be >= 0\n"
+
+
 def test_inputs_at_the_limits_are_accepted(capsys):
     code, out, _ = run_cli(capsys, "numbers", "--family", "hermite",
                            "--max-n", str(MAX_N), "--order", str(MAX_ORDER))

@@ -1,12 +1,14 @@
 """The residuals that appell derives (a1 and a2 from the alpha-equation
-defects, a reference recurrence form per degree, coefficient
-differences and the lowering defects) equal the direct sums of their
-terms, on right and wrong families alike, in any call order and across
-threads; and a fault in a weight, an alpha, a derivative or a
-substitution still reaches the report.
+defects, every other form from a1's record at its degree, and the
+lowering defects) equal the direct sums of their terms, on right and
+wrong families alike, in any call order and across threads; and a fault
+in a weight, an alpha, a derivative or a substitution still reaches the
+report.
 
 The direct forms below are the plain definitions: every term multiplied
-out and summed, the derivatives taken one at a time.
+out and summed, the derivatives taken one at a time.  They are computed
+on a twin of the family under test, so the records that the direct run
+keeps never reach the derived one.
 """
 
 import sys
@@ -16,7 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from qappell import appell, families, hermite
-from qappell.appell import (AppellFamily, XPoly, _qf, _qi, _qp, _sum,
+from qappell.appell import (AppellFamily, XPoly, _qb, _qf, _qi, _qp, _sum,
                             difference_residual, lowering_defects,
                             recurrence_residual, verify_difference_range,
                             verify_lowering_range, verify_recurrence_range)
@@ -58,7 +60,8 @@ def direct_lowering(fam, n, k):
 def direct_forms():
     """Every module's recurrence_form and difference_form replaced by the
     direct sums, and the number-level derivation of a1 and a2 turned
-    off, so the public residual functions compute the direct sums."""
+    off, so the public residual functions compute the direct sums on a
+    family that has kept no record yet."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(appell, "_derivable", lambda fam, n: False)
         for module in (appell, families, hermite):
@@ -101,7 +104,7 @@ def _alpha_perturbed() -> AppellFamily:
     return fam
 
 
-# Fresh families, so that each test's call order decides the references.
+# Fresh families, so that no test reads the records of another.
 FAMILIES = {
     **{kind.value: (lambda kind=kind: families._family.__wrapped__(kind, ORDER))
        for kind in FamilyKind},
@@ -115,7 +118,8 @@ FAMILIES = {
 }
 
 
-def _direct_values(fam, forms):
+def _direct_values(family, forms):
+    fam = FAMILIES[family]()
     with direct_forms():
         values = {(name, n): residual(fam, n)
                   for name, lo, residual in forms for n in range(lo, MAX_N + 1)}
@@ -141,7 +145,7 @@ def test_derived_residuals_equal_direct_sums(family, printed_first):
     fam = FAMILIES[family]()
     assert appell._derivable(fam, MAX_N)
     forms = _PRINTED + _HARD if printed_first else _HARD + _PRINTED
-    direct, lowering = _direct_values(fam, forms)
+    direct, lowering = _direct_values(family, forms)
     if not printed_first:
         _assert_lowering(fam, lowering)
     for name, lo, residual in forms:
@@ -152,9 +156,10 @@ def test_derived_residuals_equal_direct_sums(family, printed_first):
     assert any(not r.is_zero() for r in direct.values())
 
 
-def _assert_direct_across_threads(fam):
+def _assert_direct_across_threads(family):
+    fam = FAMILIES[family]()
     forms = _HARD + _PRINTED
-    direct, lowering = _direct_values(fam, forms)
+    direct, lowering = _direct_values(family, forms)
     got, errors = {}, []
 
     def ask(shift):
@@ -185,7 +190,32 @@ def _assert_direct_across_threads(fam):
 
 def test_derived_residuals_equal_direct_sums_across_threads():
     for family in FAMILIES:
-        _assert_direct_across_threads(FAMILIES[family]())
+        _assert_direct_across_threads(family)
+
+
+def _a1_coefficients(fam, n):
+    alphas = fam.alphas(n)
+    return {"qx": _qi(n), "x": -_qi(n) * _qp(n),
+            **{n - k: -alphas[k] * _qb(n, k) * _qp(n - k) for k in range(n + 1)}}
+
+
+# Per kind, a form other than a1 that reads the family's records.
+_FIRST_FORMS = {
+    FamilyKind.BERNOULLI: families._b1_residual,
+    FamilyKind.EULER: families._e2_residual,
+    FamilyKind.GENOCCHI: families._g1_residual,
+    FamilyKind.HERMITE: lambda fam, n: hermite.recurrence_residual(n, fam),
+}
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_the_record_is_a1_whichever_form_comes_first(kind):
+    fam = families._family.__wrapped__(kind, ORDER)
+    for n in range(2, MAX_N + 1):
+        _FIRST_FORMS[kind](fam, n)
+        record = fam._references[n]
+        assert record[0] == _a1_coefficients(fam, n), n
+        assert record[1:] == (recurrence_residual(fam, n), True), n
 
 
 # Faults must still reach the reports through the derivation.
@@ -196,8 +226,9 @@ def test_changed_alpha_fails_a1_and_a2_with_the_direct_residuals():
                for verify in (verify_recurrence_range, verify_difference_range)]
     assert [(r.passed, r.first_failure) for r in reports] == [(False, 3)] * 2
     with direct_forms():
+        twin = FAMILIES["alpha_3+q"]()
         assert [r.residuals for r in reports] == [
-            verify(fam, 1, MAX_N).residuals
+            verify(twin, 1, MAX_N).residuals
             for verify in (verify_recurrence_range, verify_difference_range)]
     assert verify_lowering_range(fam, MAX_N).passed
 
@@ -215,7 +246,8 @@ def test_off_by_one_q_power_in_a2_weights_fails_a2(monkeypatch):
     report = verify_difference_range(fam, 1, MAX_N)
     assert not report.passed
     with direct_forms():
-        assert report.residuals == verify_difference_range(fam, 1, MAX_N).residuals
+        twin = FAMILIES["bernoulli"]()
+        assert report.residuals == verify_difference_range(twin, 1, MAX_N).residuals
 
 
 def test_perturbed_q_derivative_fails_lowering_and_a2(monkeypatch):
@@ -236,7 +268,8 @@ def test_perturbed_q_derivative_fails_lowering_and_a2(monkeypatch):
     report = verify_difference_range(fam, 1, MAX_N)
     assert not report.passed
     with direct_forms():
-        assert report.residuals == verify_difference_range(fam, 1, MAX_N).residuals
+        twin = FAMILIES["euler"]()
+        assert report.residuals == verify_difference_range(twin, 1, MAX_N).residuals
 
 
 def test_perturbed_scale_x_fails_a1(monkeypatch):
@@ -255,13 +288,14 @@ def test_perturbed_times_x_fails_a1(monkeypatch):
     report = verify_recurrence_range(fam, 1, MAX_N)
     assert not report.passed and report.first_failure == 1
     with direct_forms():
-        assert report.residuals == verify_recurrence_range(fam, 1, MAX_N).residuals
+        twin = FAMILIES["hermite"]()
+        assert report.residuals == verify_recurrence_range(twin, 1, MAX_N).residuals
 
 
 def test_changed_b1_weight_is_refuted_with_the_direct_residual(monkeypatch):
     kind = FamilyKind.BERNOULLI
     fam = families.make_family(kind)
-    # The a1 forms become the references if nothing was asked before.
+    # a1's records are the references, whichever form is asked first.
     assert verify_recurrence_range(fam, 1, MAX_N).passed
     assert verify_printed_theorem(kind, "b1", MAX_N).status == "confirmed"
 

@@ -60,7 +60,7 @@ def test_recurrence_small_case_by_hand():
 def test_recurrence_reproduces_h4():
     rep = verify_hermite_recurrence_range(4)
     assert rep.passed and rep.n_range == (2, 4)
-    assert recurrence_residual(4).is_zero()
+    assert recurrence_residual(4, make_family(FamilyKind.HERMITE)).is_zero()
 
 
 def test_recurrence_range():

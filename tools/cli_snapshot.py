@@ -4,7 +4,8 @@
 
 Runs every invocation of ``INVOCATIONS`` in one process through
 ``qappell.cli.main`` and writes, per invocation, the sha256 of its
-stdout, stderr and exit code to the golden file.
+stdout, stderr and exit code to the golden file.  Each ``verify``
+invocation starts from cold families, as it would in a new process.
 ``tests/test_cli_snapshot.py`` compares the same digests against it.  A
 change that must not alter any output records the golden on the parent
 tree, before editing ``src/``, and runs that test on the change.
@@ -71,7 +72,11 @@ INVOCATIONS = (_tables(24, 23, 24) + _points() + _tables(32, 31, 32) + _poles()
 
 def run(argv: list[str]) -> tuple[str, str, int]:
     """stdout, stderr and exit code of ``qappell.cli.main(argv)``."""
+    from qappell import families
     from qappell.cli import main
+    if argv[0] == "verify":
+        families.make_family.cache_clear()
+        families._family.cache_clear()
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
