@@ -32,26 +32,26 @@ same shapes with other weights.  Each x-power of a residual is summed
 over a common denominator and canonicalized once.
 
 Each residual equals the direct sum of its terms, for a wrong family as
-for a right one.  The x^(n-m) coefficient of the recurrence residual is
+for a right one.  One predicate, ``_derivable(fam, n)``, decides how
+each is computed: it holds when, at every degree m <= n, the
+q-constants of row m are true (q^m = q q^(m-1), [m]_q = [m-1]_q +
+q^(m-1), [m]_q! = [m]_q [m-1]_q!, [m k]_q [k]_q! [m-k]_q! = [m]_q!,
+which imply q-Pascal and the other identities used), the cached A_m is
+its construction, the forms' bases are A_m(qx) and x A_{m-1}(x), and
+D A_m = [m]_q A_{m-1}.  Where it holds, D^k A_n = ([n]_q!/[n-k]_q!)
+A_{n-k}, so every lowering residual is zero and a difference form is a
+recurrence form; the x^(n-m) coefficient of the recurrence residual is
 [n m]_q q^(n-m) E_m, where E_m = [m]_q A_m - sum_k [m k]_q q^(m-k)
-alpha_k A_{m-k} is the defect of the alpha equation, one sum per m; the
-difference residual is its negative, and every lowering defect
-M_{n,k} = D^k A_n - ([n]_q!/[n-k]_q!) A_{n-k} is zero.  Those residuals
-are derived so at n where the premises hold at n and n - 1 was derived:
-the q-constants of row n are true (q^n = q q^(n-1), [n]_q = [n-1]_q +
-q^(n-1), [n]_q! = [n]_q [n-1]_q!, [n k]_q [k]_q! [n-k]_q! = [n]_q!,
-which imply q-Pascal and the other identities used); the cached A_n is
-its construction; the forms' bases are A_n(qx) and x A_{n-1}(x); and
-M_{n,1} = D A_n - [n]_q A_{n-1} vanishes.  Elsewhere they are direct sums.
+alpha_k A_{m-k} is the defect of the alpha equation, one sum per m, and
+the difference residual is its negative.  Where it fails, each residual
+is its definition summed directly, with D^k taken one q-derivative at a
+time.
 
 The shapes are linear in their coefficients.  The family keeps one
-reference per degree: a1's coefficients, a1's residual and whether it
-was derived.  Any recurrence form at n is lam times that residual plus
-the form of its coefficient differences, few or none of them nonzero.
-A difference form is a recurrence form plus the lowering defects, which
-follow from M_{n,1} by the recursion M_{n,k} = [n]_q M_{n-1,k-1} +
-D^(k-1) M_{n,1}.  So a degree costs O(n) number-level arithmetic, not
-O(n^2) polynomial products.
+reference per degree, a1's coefficients and a1's residual, and any
+recurrence form at n is lam times that residual plus the form of its
+coefficient differences, few or none of them nonzero.  So a degree
+costs O(n) number-level arithmetic, not O(n^2) polynomial products.
 """
 
 from __future__ import annotations
@@ -235,10 +235,10 @@ class AppellFamily:
         self._alphas: list[QRat] = []
         self._alpha_defects: list[QRat] = []
         self._polys: dict[int, XPoly] = {}
-        # Per degree n: a1's record (see _reference) and the lowering
-        # defects M_{n,0} .. M_{n,n} (see lowering_defects).
+        # Per degree n: a1's record (see _reference) and whether the
+        # premises hold at every degree up to n (see _derivable).
         self._references: dict[int, tuple] = {}
-        self._defects: dict[int, tuple[XPoly, ...]] = {}
+        self._premises: dict[int, bool] = {}
         self._generator: Series | None = None
         head = self.numbers(1 if order > 0 else 0)
         self.shifted = head[0].is_zero()
@@ -426,61 +426,40 @@ def recurrence_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
     coeffs = {"qx": at_qx, "x": at_x}
     for j, w in weights:
         coeffs[j] = coeffs[j] + w if j in coeffs else w
-    c0, r0, _ = _reference(fam, n)
+    c0, r0 = _reference(fam, n)
     lam = at_qx / c0["qx"]
     diffs = ((key, _less(coeffs.get(key, QRAT_ZERO), lam, c0.get(key, QRAT_ZERO)))
              for key in {**c0, **coeffs})
     return _sum([(lam, r0), *((c, _basis(fam, n, key)) for key, c in diffs if c)])
 
 
-def lowering_defects(fam: AppellFamily, n: int) -> tuple[XPoly, ...]:
-    """M_{n,k} = D^k A_n - ([n]_q!/[n-k]_q!) A_{n-k} for 0 <= k <= n, all
-    zero when the lowering identity holds at n.
-
-    For any polynomials M_{n,0} = 0, M_{n,1} = D A_n - [n]_q A_{n-1} and
-    M_{n,k} = [n]_q M_{n-1,k-1} + D^(k-1) M_{n,1}, so a degree costs one
-    derivative and one comparison when M_{n,1} vanishes, not n
-    derivatives.  The family keeps the defects of every degree up to n.
-    """
-    table = fam._defects
-    for m in range(n + 1):
-        if m in table:
-            continue
-        ms = [XPoly()]
-        if m:
-            below, qm = table[m - 1], _qi(m)
-            derivative = fam.polynomial(m).q_derivative()
-            lowered = fam.polynomial(m - 1).scale(qm)
-            dm = XPoly() if derivative == lowered else derivative - lowered
-            ms.append(dm)
-            for k in range(2, m + 1):
-                if not dm.is_zero():
-                    dm = dm.q_derivative()
-                ms.append(_sum([(qm, below[k - 1]), (QRAT_ONE, dm)])
-                          if dm.coeffs or below[k - 1].coeffs else dm)
-        fam._keep(table, m, tuple(ms))
-    return table[n]
+def _derivatives(p: XPoly, k: int) -> list[XPoly]:
+    """p, D p, .., D^k p, each the q_derivative of the one before."""
+    ds = [p]
+    for _ in range(k):
+        ds.append(ds[-1].q_derivative())
+    return ds
 
 
 def difference_form(fam: AppellFamily, n: int, at_qx: QRat, at_x: QRat,
                     weights) -> XPoly:
     """at_qx A_n(qx) + at_x x D A_n(x) + sum w D^k A_n(x) over the (k, w)
     pairs of `weights`: the shape of the difference equation a2 and of
-    every equation specialized from it.
+    every equation specialized from it.  D^k A_n vanishes for k > n, so a
+    weight there adds nothing.
 
-    D^k A_n = ([n]_q!/[n-k]_q!) A_{n-k} + M_{n,k} makes it the recurrence
-    form with at_x [n]_q at x A_{n-1} and w [n]_q!/[n-k]_q! at A_{n-k},
-    plus at_x x M_{n,1} + sum w M_{n,k} over the nonzero defects.  D^k A_n
-    vanishes for k > n, so a weight there adds nothing.
+    Where ``_derivable`` holds, D^k A_n = ([n]_q!/[n-k]_q!) A_{n-k} makes
+    it the recurrence form with at_x [n]_q at x A_{n-1} and
+    w [n]_q!/[n-k]_q! at A_{n-k}.  Elsewhere it is the direct sum of its
+    terms.
     """
     weights = [(k, w) for k, w in weights if k <= n]
-    form = recurrence_form(fam, n, at_qx, at_x * _qi(n), [
-        (n - k, w * (_qf(n) / _qf(n - k))) for k, w in weights])
-    ms = lowering_defects(fam, n)
-    defects = [(w, ms[k]) for k, w in weights if not ms[k].is_zero()]
-    if n and not ms[1].is_zero():
-        defects.append((at_x, ms[1].times_x()))
-    return form + _sum(defects) if defects else form
+    if _derivable(fam, n):
+        return recurrence_form(fam, n, at_qx, at_x * _qi(n), [
+            (n - k, w * (_qf(n) / _qf(n - k))) for k, w in weights])
+    ds = _derivatives(fam.polynomial(n), n)
+    return _sum([(at_qx, ds[0].scale_x(QRAT_Q)), (at_x, ds[1].times_x()),
+                 *((w, ds[k]) for k, w in weights)])
 
 
 @lru_cache(maxsize=None)
@@ -498,46 +477,51 @@ def _row_holds(constants: tuple, n: int) -> bool:
 
 
 def _derivable(fam: AppellFamily, n: int) -> bool:
-    """Whether a1's residual at n is derived (see the module docstring):
-    row n of the q-constants holds, degree n's premises hold and degree
-    n - 1's residual was derived."""
-    return (_row_holds((_qp, _qi, _qf, _qb), n) and _premises_at(fam, n)
-            and (n == 0 or _reference(fam, n - 1)[2]))
+    """Whether the residuals at n are derived (see the module docstring):
+    at every degree m <= n, row m of the q-constants and degree m's
+    premises hold.  The family keeps the answer for every degree up to n,
+    found in order; no alpha is read."""
+    table = fam._premises
+    for m in range(n + 1):
+        if m not in table:
+            fam._keep(table, m, (m == 0 or table[m - 1])
+                      and _row_holds((_qp, _qi, _qf, _qb), m)
+                      and _premises_at(fam, m))
+    return table[n]
 
 
 def _premises_at(fam: AppellFamily, n: int) -> bool:
     """Degree n's own premises: the cached A_n is its construction, the
-    bases at n are A_n(qx) and x A_{n-1}(x), and M_{n,1} = 0."""
+    bases at n are A_n(qx) and x A_{n-1}(x), and D A_n = [n]_q A_{n-1}."""
     p = fam.polynomial(n)
     with fam._lock:
         built = fam._construction(n)
     if p != built or _basis(fam, n, "qx") != XPoly(
             [c * _qp(j) for j, c in enumerate(p.coeffs)]):
         return False
-    return n == 0 or (
-        _basis(fam, n, "x") == XPoly((QRAT_ZERO, *fam.polynomial(n - 1).coeffs))
-        and lowering_defects(fam, n)[1].is_zero())
+    if n == 0:
+        return True
+    below = fam.polynomial(n - 1)
+    return (_basis(fam, n, "x") == XPoly((QRAT_ZERO, *below.coeffs))
+            and p.q_derivative() == below.scale(_qi(n)))
 
 
-def _reference(fam: AppellFamily, n: int) -> tuple[dict, XPoly, bool]:
-    """a1's record at n: its coefficients, keyed as in ``_basis``, its
-    residual, sum_m [n m]_q q^(n-m) E_m x^(n-m) where derivable and the
-    direct sum of its terms elsewhere, and whether it was derived.  The
-    family keeps the records of every degree up to n, built in order."""
-    table = fam._references
-    for m in range(n + 1):
-        if m in table:
-            continue
-        coeffs = {"qx": _qi(m), "x": -_qi(m) * _qp(m), **{
-            m - k: -a * _qb(m, k) * _qp(m - k) for k, a in enumerate(fam.alphas(m))}}
-        derived = _derivable(fam, m)
-        if derived:
-            es = fam.alpha_defects(m)
-            form = XPoly([_qb(m, j) * _qp(m - j) * es[j] for j in range(m, -1, -1)])
+def _reference(fam: AppellFamily, n: int) -> tuple[dict, XPoly]:
+    """a1's record at n: its coefficients, keyed as in ``_basis``, and its
+    residual, sum_m [n m]_q q^(n-m) E_m x^(n-m) where ``_derivable``
+    holds and the direct sum of its terms elsewhere.  The family keeps
+    it."""
+    record = fam._references.get(n)
+    if record is None:
+        coeffs = {"qx": _qi(n), "x": -_qi(n) * _qp(n), **{
+            n - k: -a * _qb(n, k) * _qp(n - k) for k, a in enumerate(fam.alphas(n))}}
+        if _derivable(fam, n):
+            es = fam.alpha_defects(n)
+            form = XPoly([_qb(n, j) * _qp(n - j) * es[j] for j in range(n, -1, -1)])
         else:
-            form = _sum([(c, _basis(fam, m, key)) for key, c in coeffs.items() if c])
-        fam._keep(table, m, (coeffs, form, derived))
-    return table[n]
+            form = _sum([(c, _basis(fam, n, key)) for key, c in coeffs.items() if c])
+        record = fam._keep(fam._references, n, (coeffs, form))
+    return record
 
 
 def recurrence_residual(fam: AppellFamily, n: int) -> XPoly:
@@ -549,11 +533,10 @@ def recurrence_residual(fam: AppellFamily, n: int) -> XPoly:
 
 def difference_residual(fam: AppellFamily, n: int) -> XPoly:
     """sum_k (q^(n-k) alpha_k/[k]_q!) D^k A_n + x q^n D A_n - [n]_q A_n(qx):
-    the negative of a1's residual where that was derived, the difference
-    form elsewhere."""
-    _, residual, derived = _reference(fam, n)
-    if derived:
-        return -residual
+    the negative of a1's residual where ``_derivable`` holds, the
+    difference form elsewhere."""
+    if _derivable(fam, n):
+        return -recurrence_residual(fam, n)
     alphas = fam.alphas(n)
     return difference_form(fam, n, -_qi(n), _qp(n), (
         (k, alphas[k] * _qp(n - k) / _qf(k)) for k in range(n + 1)))
@@ -580,15 +563,18 @@ def verify_lowering_range(fam: AppellFamily, max_n: int) -> VerificationReport:
     0 <= k <= n <= max_n, merged into one report.
 
     The residual recorded at degree n is its first nonzero one over k, so
-    it is zero exactly when every chain length passes.
+    it is zero exactly when every chain length passes.  Where
+    ``_derivable`` holds at n every one is zero; elsewhere each is its
+    definition, with D^k A_n taken one q-derivative at a time.
     """
     if not 0 <= max_n <= fam.order:
         raise DegreeRangeError(f"lowering check needs 0 <= n <= {fam.order}")
 
     def first_nonzero(n: int) -> XPoly:
-        # A_{n-k} - ([n-k]_q!/[n]_q!) D^k A_n = -([n-k]_q!/[n]_q!) M_{n,k}
-        return next((m.scale(-_qf(n - k) / _qf(n))
-                     for k, m in enumerate(lowering_defects(fam, n))
-                     if not m.is_zero()), XPoly())
+        if _derivable(fam, n):
+            return XPoly()
+        lowered = (fam.polynomial(n - k) - d.scale(_qf(n - k) / _qf(n))
+                   for k, d in enumerate(_derivatives(fam.polynomial(n), n)))
+        return next((r for r in lowered if not r.is_zero()), XPoly())
 
     return make_report("lowering", fam.name, (0, max_n), first_nonzero)

@@ -114,11 +114,16 @@ def euler_number_series(order: int) -> Series:
 def euler_numbers(upto: int) -> list[QRat]:
     """e_0 .. e_upto, the divided-power coefficients of the Euler-number
     generator: sum_{k<=n} [n+1 k]_q 2^(n+1-k) e_k = [n+1]_q."""
-    e: list[QRat] = []
-    for n in range(upto + 1):
+    return list(_euler_number_family().numbers(upto))
+
+
+@lru_cache(maxsize=None)
+def _euler_number_family() -> AppellFamily:
+    def number(n, e):
         qn = _qi(n + 1)
-        e.append(solve_step(qn, _row(e, n + 1, 2), qn * 2))
-    return e
+        return solve_step(qn, _row(e, n + 1, 2), qn * 2)
+
+    return AppellFamily.from_numbers("euler-numbers", MAX_ORDER, number)
 
 
 def classical_limit(kind: FamilyKind, n: int) -> list[Fraction]:
@@ -240,9 +245,9 @@ def verify_euler_number_relation(max_n: int) -> DiscrepancyReport:
     records the difference at the smallest failing n as a degree-0
     residual.
     """
-    nums = euler_numbers(max_n)
     fam = make_family(FamilyKind.EULER)
     half = Fraction(1, 2)
     return first_counterexample(
         "euler-relation", range(max_n + 1),
-        lambda n: XPoly((nums[n] - fam.polynomial(n).evaluate_x(half) * QRat(2 ** n),)))
+        lambda n: XPoly((euler_numbers(n)[n]
+                         - fam.polynomial(n).evaluate_x(half) * QRat(2 ** n),)))

@@ -42,13 +42,13 @@ def hermite_series_form(n: int) -> XPoly:
     return printed_series_form(n).scale(_qf(n))
 
 
-def recurrence_residual(n: int, fam: AppellFamily) -> XPoly:
+def recurrence_residual(fam: AppellFamily, n: int) -> XPoly:
     """H_n(qx) - x q^n H_{n-1}(x) + [n-1]_q q^(n-2) H_{n-2}(x)."""
     return recurrence_form(fam, n, QRAT_ONE, -_qp(n),
                            [(n - 2, _qi(n - 1) * _qp(n - 2))])
 
 
-def difference_residual(n: int, fam: AppellFamily) -> XPoly:
+def difference_residual(fam: AppellFamily, n: int) -> XPoly:
     """q^(n-2) D^2 H_n - x q^n D H_n + [n]_q H_n(qx)."""
     return difference_form(fam, n, _qi(n), -_qp(n), [(2, _qp(n - 2))])
 
@@ -57,7 +57,7 @@ def _hermite_range(theorem_id: str, lo: int, max_n: int,
                    residual) -> VerificationReport:
     fam = make_family(FamilyKind.HERMITE)
     return make_report(theorem_id, "hermite", (lo, max_n),
-                       lambda n: residual(n, fam))
+                       lambda n: residual(fam, n))
 
 
 def verify_hermite_recurrence_range(max_n: int) -> VerificationReport:
@@ -94,7 +94,7 @@ def verify_hermite_generator_ratio(order: int) -> VerificationReport:
 def verify_cross_construction(max_n: int) -> VerificationReport:
     """Generating-function construction vs normalized explicit sum."""
     return _hermite_range("h0-cross", 0, max_n,
-                          lambda n, fam: hermite_series_form(n) - fam.polynomial(n))
+                          lambda fam, n: hermite_series_form(n) - fam.polynomial(n))
 
 
 def verify_printed_series_form(max_n: int) -> DiscrepancyReport:

@@ -37,8 +37,8 @@ def _printed(kind: FamilyKind, theorem_id: str, *e1_reading: str):
 
 # Every check, in report order: (scope, first degree, run).  A hard
 # check has the smallest degree it examines and gates the exit code; a
-# descriptive check has None.  run(max_n, order, euler_max_n) returns its
-# reports; only the generator ratio check reads the order.
+# descriptive check has None.  run(max_n, order) returns its reports;
+# only the generator ratio check reads the order.
 _CHECKS = (
     ("a1", 1, lambda max_n, *_: [
         verify_recurrence_range(fam, 1, max_n) for fam in _families()]),
@@ -48,7 +48,7 @@ _CHECKS = (
         verify_lowering_range(fam, max_n) for fam in _families()]),
     ("h1", 2, lambda max_n, *_: [hermite.verify_hermite_recurrence_range(max_n)]),
     ("h2", 1, lambda max_n, *_: [hermite.verify_hermite_difference_range(max_n)]),
-    ("h0", 0, lambda max_n, order, _: [
+    ("h0", 0, lambda max_n, order: [
         hermite.verify_cross_construction(max_n),
         hermite.verify_hermite_generator_ratio(order)]),
     ("b1", None, _printed(FamilyKind.BERNOULLI, "b1")),
@@ -59,8 +59,7 @@ _CHECKS = (
     ("g1", None, _printed(FamilyKind.GENOCCHI, "g1")),
     ("g2", None, _printed(FamilyKind.GENOCCHI, "g2")),
     ("h0", None, lambda max_n, *_: [hermite.verify_printed_series_form(max_n)]),
-    ("euler-relation", None, lambda _, __, euler_max_n: [
-        verify_euler_number_relation(euler_max_n)]),
+    ("euler-relation", None, lambda max_n, *_: [verify_euler_number_relation(max_n)]),
 )
 
 SCOPES = ("all",) + tuple(dict.fromkeys(scope for scope, _, _ in _CHECKS))
@@ -71,10 +70,9 @@ def _selected(hard: bool, scope: str):
             if (lo is not None) is hard and scope in ("all", check_scope)]
 
 
-def _run(hard: bool, scope: str, max_n: int, order: int | None,
-         euler_max_n: int | None) -> list:
+def _run(hard: bool, scope: str, max_n: int, order: int | None) -> list:
     return [report for _, _, run in _selected(hard, scope)
-            for report in run(max_n, order, euler_max_n)]
+            for report in run(max_n, order)]
 
 
 def hard_reports(scope: str, max_n: int, order: int) -> list[VerificationReport]:
@@ -83,13 +81,11 @@ def hard_reports(scope: str, max_n: int, order: int) -> list[VerificationReport]
     for check_scope, lo, _ in _selected(True, scope):
         if lo > max_n:
             raise DegreeRangeError(f"{check_scope}: empty degree range {lo}..{max_n}")
-    return _run(True, scope, max_n, order, None)
+    return _run(True, scope, max_n, order)
 
 
-def descriptive_reports(scope: str, max_n: int,
-                        euler_max_n: int | None = None) -> list[DiscrepancyReport]:
-    return _run(False, scope, max_n, None,
-                max_n if euler_max_n is None else euler_max_n)
+def descriptive_reports(scope: str, max_n: int) -> list[DiscrepancyReport]:
+    return _run(False, scope, max_n, None)
 
 
 def verification_to_json(report: VerificationReport) -> dict:
@@ -112,12 +108,11 @@ def discrepancy_to_json(report: DiscrepancyReport) -> dict:
     }
 
 
-def run_scope(scope: str, max_n: int, order: int,
-              euler_max_n: int | None = None) -> dict:
+def run_scope(scope: str, max_n: int, order: int) -> dict:
     """Run one verification scope; the payload is JSON-ready and the
     ``passed`` flag reflects hard checks only."""
     hard = hard_reports(scope, max_n, order)
-    descriptive = descriptive_reports(scope, max_n, euler_max_n)
+    descriptive = descriptive_reports(scope, max_n)
     return {
         "scope": scope,
         "max_n": max_n,

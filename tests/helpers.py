@@ -26,8 +26,7 @@ def xpoly_from_json(data) -> XPoly:
     return p
 
 
-def discrepancy_report(printed_max_n: int = 10,
-                       euler_max_n: int = 8) -> list[dict]:
+def discrepancy_report(max_n: int = 10) -> list[dict]:
     """The canonical descriptive report (the golden file content)."""
-    reports = descriptive_reports("all", printed_max_n, euler_max_n)
+    reports = descriptive_reports("all", max_n)
     return [discrepancy_to_json(r) for r in reports]

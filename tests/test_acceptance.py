@@ -141,16 +141,15 @@ def test_criterion_6_cross_construction_equality():
 
 
 def test_criterion_7_descriptive_checks_complete():
-    with criterion(7, "printed claims 2<=n<=10 + Euler relation n<=8, golden"):
-        data = helpers.discrepancy_report(printed_max_n=10, euler_max_n=8)
+    with criterion(7, "printed claims 2<=n<=10 + Euler relation n<=10, golden"):
+        data = helpers.discrepancy_report(max_n=10)
         claims = [entry["claim"] for entry in data]
         assert claims == ["b1", "b2", "e1[numbers]", "e1[values]", "e2",
                           "g1", "g2", "h0-normalization", "euler-relation"]
         for entry in data:
             assert entry["status"] in ("confirmed", "refuted")
         text = render.dumps(data)
-        assert text == render.dumps(helpers.discrepancy_report(
-            printed_max_n=10, euler_max_n=8))
+        assert text == render.dumps(helpers.discrepancy_report(max_n=10))
         import pathlib
         golden = pathlib.Path(__file__).parent / "golden" / "discrepancy_report.json"
         assert text.encode() == golden.read_bytes()

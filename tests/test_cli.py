@@ -274,7 +274,7 @@ def test_verify_exit_1_on_hard_failure(capsys, monkeypatch):
     # the genuine identities all hold, so force a failing payload
     from qappell import cli as cli_module
 
-    def fake_run_scope(scope, max_n, order, euler_max_n=None):
+    def fake_run_scope(scope, max_n, order):
         return {"scope": scope, "max_n": max_n, "order": order,
                 "passed": False,
                 "hard": [{"theorem": "a1", "family": "bernoulli",

@@ -1,6 +1,6 @@
 """The residuals that appell derives (a1 and a2 from the alpha-equation
 defects, every other form from a1's record at its degree, and the
-lowering defects) equal the direct sums of their terms, on right and
+lowering residuals) equal the direct sums of their terms, on right and
 wrong families alike, in any call order and across threads; and a fault
 in a weight, an alpha, a derivative or a substitution still reaches the
 report.
@@ -19,9 +19,9 @@ import pytest
 
 from qappell import appell, families, hermite
 from qappell.appell import (AppellFamily, XPoly, _qb, _qf, _qi, _qp, _sum,
-                            difference_residual, lowering_defects,
-                            recurrence_residual, verify_difference_range,
-                            verify_lowering_range, verify_recurrence_range)
+                            difference_residual, recurrence_residual,
+                            verify_difference_range, verify_lowering_range,
+                            verify_recurrence_range)
 from qappell.families import FamilyKind, verify_printed_theorem
 from qappell.qarith import QPoly, QRat, QRAT_Q
 from qappell.qseries import Series
@@ -75,8 +75,8 @@ def direct_forms():
 _HARD = [
     ("a1", 1, recurrence_residual),
     ("a2", 1, difference_residual),
-    ("h1", 2, lambda fam, n: hermite.recurrence_residual(n, fam)),
-    ("h2", 1, lambda fam, n: hermite.difference_residual(n, fam)),
+    ("h1", 2, hermite.recurrence_residual),
+    ("h2", 1, hermite.difference_residual),
 ]
 _PRINTED = [(claim, 1, residual)
             for claim, (_, residual) in families._PRINTED_CLAIMS.items()]
@@ -129,9 +129,6 @@ def _direct_values(family, forms):
 
 
 def _assert_lowering(fam, lowering):
-    for n in range(MAX_N + 1):
-        for k, m in enumerate(lowering_defects(fam, n)):
-            assert m.scale(-_qf(n - k) / _qf(n)) == lowering[n, k], (n, k)
     report = verify_lowering_range(fam, MAX_N)
     for n, residual in enumerate(report.residuals):
         failing = [lowering[n, k] for k in range(n + 1) if not lowering[n, k].is_zero()]
@@ -204,7 +201,7 @@ _FIRST_FORMS = {
     FamilyKind.BERNOULLI: families._b1_residual,
     FamilyKind.EULER: families._e2_residual,
     FamilyKind.GENOCCHI: families._g1_residual,
-    FamilyKind.HERMITE: lambda fam, n: hermite.recurrence_residual(n, fam),
+    FamilyKind.HERMITE: hermite.recurrence_residual,
 }
 
 
@@ -213,9 +210,10 @@ def test_the_record_is_a1_whichever_form_comes_first(kind):
     fam = families._family.__wrapped__(kind, ORDER)
     for n in range(2, MAX_N + 1):
         _FIRST_FORMS[kind](fam, n)
-        record = fam._references[n]
-        assert record[0] == _a1_coefficients(fam, n), n
-        assert record[1:] == (recurrence_residual(fam, n), True), n
+        coefficients, residual = fam._references[n]
+        assert coefficients == _a1_coefficients(fam, n), n
+        assert residual == recurrence_residual(fam, n), n
+        assert appell._derivable(fam, n), n
 
 
 # Faults must still reach the reports through the derivation.

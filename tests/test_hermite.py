@@ -54,13 +54,13 @@ def test_recurrence_small_case_by_hand():
     rhs = (fam.polynomial(1).times_x().scale(QRat.q_power(2))
            - fam.polynomial(0))
     assert lhs == rhs
-    assert recurrence_residual(2, fam).is_zero()
+    assert recurrence_residual(fam, 2).is_zero()
 
 
 def test_recurrence_reproduces_h4():
     rep = verify_hermite_recurrence_range(4)
     assert rep.passed and rep.n_range == (2, 4)
-    assert recurrence_residual(4, make_family(FamilyKind.HERMITE)).is_zero()
+    assert recurrence_residual(make_family(FamilyKind.HERMITE), 4).is_zero()
 
 
 def test_recurrence_range():

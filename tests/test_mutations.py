@@ -163,7 +163,7 @@ FAULTS = {
     "_width one byte short": _width_one_byte_short,
     "FracAcc.value returns _rest": _value_returns_rest,
     "reference filed under n + 1": _misfiled("_references"),
-    "lowering defects filed under n + 1": _misfiled("_defects"),
+    "premises filed under n + 1": _misfiled("_premises"),
 }
 
 
@@ -209,6 +209,24 @@ def test_shared_families_verify_without_a_direct_sum(sums):
     assert sums == []
 
 
+# The premises hold on the shared families, so no hard or descriptive
+# check takes a chain of derivatives (appell._derivatives, which every
+# direct difference form and lowering residual starts from).
+
+def test_shared_families_check_everything_without_a_direct_derivative(monkeypatch):
+    calls, true = [], appell._derivatives
+
+    def counted(p, k):
+        calls.append(k)
+        return true(p, k)
+
+    monkeypatch.setattr(appell, "_derivatives", counted)
+    hard = reports.hard_reports("all", 12, 24)
+    assert all(r.passed for r in hard)
+    assert len(reports.descriptive_reports("all", 12)) == 9
+    assert calls == []
+
+
 @pytest.mark.parametrize("fault", _PREMISE_FAULTS)
 def test_a_broken_premise_takes_the_direct_sums(fault, sums, monkeypatch):
     FAULTS[fault](monkeypatch)
@@ -220,5 +238,18 @@ def test_a_broken_premise_takes_the_direct_sums(fault, sums, monkeypatch):
         assert sums and not all(r.passed for r in derived)
         monkeypatch.setattr(appell, "_derivable", lambda fam, n: False)
         assert derived == [check(twin, MAX_N) for check in _DERIVED_CHECKS.values()]
+    finally:
+        _clear_value_caches()
+
+
+def test_a_wrong_q_factorial_fails_lowering(monkeypatch):
+    # The lowering A_{n-k} = ([n-k]_q!/[n]_q!) D^k A_n reads [n]_q!, so a
+    # wrong [5]_q! must fail it from n = 5 on.
+    FAULTS["q-factorial vector off by one Phi_3"](monkeypatch)
+    _clear_value_caches()
+    try:
+        fam = families._family.__wrapped__(FamilyKind.EULER, ORDER)
+        report = verify_lowering_range(fam, MAX_N)
+        assert (report.passed, report.first_failure) == (False, 5)
     finally:
         _clear_value_caches()

@@ -77,6 +77,7 @@ def run(argv: list[str]) -> tuple[str, str, int]:
     if argv[0] == "verify":
         families.make_family.cache_clear()
         families._family.cache_clear()
+        families._euler_number_family.cache_clear()
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
