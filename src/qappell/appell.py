@@ -205,12 +205,15 @@ class AppellFamily:
     is accepted, while a valuation of two or more is rejected because the
     alpha quotient is then undefined.
 
-    Numbers, alphas and polynomials are computed on demand: each cache
-    holds a prefix that grows to the largest index asked for, never past
-    the order, and a value once computed never changes.  One lock per
-    family guards every extension, so a family may be shared between
-    threads: concurrent callers get exactly the values a single thread
-    would, and each value is computed once.
+    Every per-degree value is computed on demand and kept by one rule:
+    a prefix list (numbers, alphas, alpha defects) grows in order through
+    ``_extend``, and a dict entry (polynomials, a1's records, the
+    premises) is filled through ``_at``.  Both build under the family's
+    one reentrant lock, so a step may read the family's other tables,
+    and a value once built never changes.  A family may be shared
+    between threads: concurrent callers get exactly the values a single
+    thread would, and each value, a1's records and the premises
+    included, is built once.
     """
 
     def __init__(self, name: str, generator: Series):
@@ -230,13 +233,15 @@ class AppellFamily:
         self.name = name
         self.order = order
         self._number = number
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        # The six per-degree tables, each value built once under the lock:
+        # prefix lists grown by _extend, then dicts filled by _at.  The
+        # dicts hold A_n(x), a1's record at n (see _reference) and whether
+        # the premises hold at every degree up to n (see _derivable).
         self._numbers: list[QRat] = []
         self._alphas: list[QRat] = []
         self._alpha_defects: list[QRat] = []
         self._polys: dict[int, XPoly] = {}
-        # Per degree n: a1's record (see _reference) and whether the
-        # premises hold at every degree up to n (see _derivable).
         self._references: dict[int, tuple] = {}
         self._premises: dict[int, bool] = {}
         self._generator: Series | None = None
@@ -248,12 +253,23 @@ class AppellFamily:
                 "vanishes to order >= 2 at t = 0, and the alpha quotient "
                 "does not determine a power series")
 
+    def _extend(self, table: list, upto: int, step) -> list:
+        """Grow the prefix list `table` with step(i) until it holds index
+        upto, in order and under the lock, and return it."""
+        with self._lock:
+            while len(table) <= upto:
+                table.append(step(len(table)))
+            return table
+
+    def _at(self, table: dict, n: int, build):
+        """table[n], filled with build(n) under the lock if it is absent."""
+        with self._lock:
+            if n not in table:
+                table[n] = build(n)
+            return table[n]
+
     def _numbers_upto(self, upto: int) -> list[QRat]:
-        # The caller holds the lock.
-        nums = self._numbers
-        while len(nums) <= upto:
-            nums.append(self._number(len(nums), nums))
-        return nums
+        return self._extend(self._numbers, upto, lambda n: self._number(n, self._numbers))
 
     @property
     def generator(self) -> Series:
@@ -273,21 +289,16 @@ class AppellFamily:
         """A_0 .. A_upto, where A_n = [n]_q! * (t^n coefficient)."""
         if upto > self.order:
             raise ValueError(f"index {upto} exceeds the generator order {self.order}")
-        with self._lock:
-            return tuple(self._numbers_upto(upto)[: upto + 1])
+        return tuple(self._numbers_upto(upto)[: upto + 1])
 
     def polynomial(self, n: int) -> XPoly:
         """A_n(x) = sum_k [n k]_q A_k x^(n-k)."""
         if not 0 <= n <= self.order:
             raise ValueError(f"degree {n} outside 0..{self.order}")
-        with self._lock:
-            cached = self._polys.get(n)
-            if cached is None:
-                cached = self._polys[n] = self._construction(n)
-            return cached
+        return self._at(self._polys, n, self._construction)
 
     def _construction(self, n: int) -> XPoly:
-        # The caller holds the lock.  The x^(n-k) coefficient is [n k]_q A_k.
+        # The x^(n-k) coefficient is [n k]_q A_k.
         nums = self._numbers_upto(n)
         return XPoly([nums[k] * _qb(n, k) for k in range(n, -1, -1)])
 
@@ -305,41 +316,28 @@ class AppellFamily:
         if upto > self.order - 1:
             raise ValueError(
                 f"alpha index {upto} exceeds order-1 = {self.order - 1}")
-        with self._lock:
-            al = self._alphas
-            while len(al) <= upto:
-                al.append(self._alpha(len(al)))
-            return tuple(al[: upto + 1])
+        return tuple(self._extend(self._alphas, upto, self._alpha)[: upto + 1])
 
     def alpha_defects(self, upto: int) -> tuple[QRat, ...]:
         """E_0 .. E_upto, E_m = [m]_q A_m - sum_k [m k]_q q^(m-k) alpha_k
         A_{m-k}: the defects of the equation that defines the alphas,
         all zero when they are its solution.  Each is one FracAcc sum."""
         alphas = self.alphas(upto)
-        with self._lock:
-            es = self._alpha_defects
-            while len(es) <= upto:
-                m = len(es)
-                es.append(solve_step(self._numbers_upto(m)[m] * _qi(m),
-                                     self._terms(m, alphas[: m + 1]), QRAT_ONE))
-            return tuple(es[: upto + 1])
+        return tuple(self._extend(self._alpha_defects, upto, lambda m: solve_step(
+            self._numbers_upto(m)[m] * _qi(m), self._terms(m, alphas[: m + 1]),
+            QRAT_ONE))[: upto + 1])
 
     def _terms(self, m: int, alphas) -> list[tuple[QRat, QRat]]:
-        # The caller holds the lock: the nonzero (weight alpha_k, A_{m-k})
-        # pairs of the alpha equation at m, for the given alphas.
+        # The nonzero (weight alpha_k, A_{m-k}) pairs of the alpha
+        # equation at m, for the given alphas; the numbers come through
+        # _extend.
         nums = self._numbers_upto(m)
         return [(_qb(m, k) * _qp(m - k) * a, nums[m - k])
                 for k, a in enumerate(alphas) if a and nums[m - k]]
 
-    def _keep(self, table: dict, n: int, value):
-        """Store value at n unless another thread stored one first, and
-        return the stored value.  Values are computed outside the lock,
-        which polynomial() takes; a race costs only duplicate work."""
-        with self._lock:
-            return table.setdefault(n, value)
-
     def _alpha(self, n: int) -> QRat:
-        # The caller holds the lock and has alpha_0 .. alpha_{n-1}.
+        # The step _extend runs, under the lock, for alpha_n: the prefix
+        # self._alphas holds alpha_0 .. alpha_{n-1}.
         m = n + 1 if self.shifted else n
         nums = self._numbers_upto(m)
         pivot = nums[m - n] * _qb(m, n) * _qp(m - n)
@@ -392,12 +390,7 @@ def _sum(terms) -> XPoly:
 
 def _less(c: QRat, lam: QRat, c0: QRat) -> QRat:
     """c - lam*c0, with the product left unreduced."""
-    if not (lam and c0):
-        return c
-    acc = FracAcc()
-    acc.add(c)
-    acc.add_product(-lam, c0)
-    return acc.value()
+    return solve_step(c, [(lam, c0)], QRAT_ONE) if lam and c0 else c
 
 
 def _basis(fam: AppellFamily, n: int, key) -> XPoly:
@@ -482,11 +475,13 @@ def _derivable(fam: AppellFamily, n: int) -> bool:
     premises hold.  The family keeps the answer for every degree up to n,
     found in order; no alpha is read."""
     table = fam._premises
+
+    def build(m: int) -> bool:
+        return ((m == 0 or table[m - 1]) and _row_holds((_qp, _qi, _qf, _qb), m)
+                and _premises_at(fam, m))
+
     for m in range(n + 1):
-        if m not in table:
-            fam._keep(table, m, (m == 0 or table[m - 1])
-                      and _row_holds((_qp, _qi, _qf, _qb), m)
-                      and _premises_at(fam, m))
+        fam._at(table, m, build)
     return table[n]
 
 
@@ -494,9 +489,7 @@ def _premises_at(fam: AppellFamily, n: int) -> bool:
     """Degree n's own premises: the cached A_n is its construction, the
     bases at n are A_n(qx) and x A_{n-1}(x), and D A_n = [n]_q A_{n-1}."""
     p = fam.polynomial(n)
-    with fam._lock:
-        built = fam._construction(n)
-    if p != built or _basis(fam, n, "qx") != XPoly(
+    if p != fam._construction(n) or _basis(fam, n, "qx") != XPoly(
             [c * _qp(j) for j, c in enumerate(p.coeffs)]):
         return False
     if n == 0:
@@ -511,17 +504,15 @@ def _reference(fam: AppellFamily, n: int) -> tuple[dict, XPoly]:
     residual, sum_m [n m]_q q^(n-m) E_m x^(n-m) where ``_derivable``
     holds and the direct sum of its terms elsewhere.  The family keeps
     it."""
-    record = fam._references.get(n)
-    if record is None:
+    def build(n: int) -> tuple[dict, XPoly]:
         coeffs = {"qx": _qi(n), "x": -_qi(n) * _qp(n), **{
             n - k: -a * _qb(n, k) * _qp(n - k) for k, a in enumerate(fam.alphas(n))}}
         if _derivable(fam, n):
             es = fam.alpha_defects(n)
-            form = XPoly([_qb(n, j) * _qp(n - j) * es[j] for j in range(n, -1, -1)])
-        else:
-            form = _sum([(c, _basis(fam, n, key)) for key, c in coeffs.items() if c])
-        record = fam._keep(fam._references, n, (coeffs, form))
-    return record
+            return coeffs, XPoly([_qb(n, j) * _qp(n - j) * es[j] for j in range(n, -1, -1)])
+        return coeffs, _sum([(c, _basis(fam, n, key)) for key, c in coeffs.items() if c])
+
+    return fam._at(fam._references, n, build)
 
 
 def recurrence_residual(fam: AppellFamily, n: int) -> XPoly:

@@ -518,12 +518,13 @@ def q_binomial(n: int, k: int) -> QPoly:
 def solve_step(rhs: QRat, terms, pivot: QRat) -> QRat:
     """One row of a triangular solve: (rhs - sum of a*b over the (a, b)
     pairs of terms) / pivot.  The products go through one FracAcc
-    unreduced, so the row is canonicalized once."""
+    unreduced, so the row is canonicalized once; a unit pivot divides
+    nothing, so with one it is a plain canonical sum."""
     acc = FracAcc()
     acc.add(rhs)
     for a, b in terms:
         acc.add_product(-a, b)
-    return acc.value() / pivot
+    return acc.value() if pivot.is_one() else acc.value() / pivot
 
 
 class FracAcc:

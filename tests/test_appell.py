@@ -11,7 +11,7 @@ from qappell.appell import (AppellFamily, DegreeRangeError, XPoly, _sum,
                             difference_form, difference_residual,
                             recurrence_residual, verify_difference_range,
                             verify_lowering_range, verify_recurrence_range)
-from qappell import families
+from qappell import appell, families
 from qappell.families import FamilyKind, make_family
 
 import oracles
@@ -178,6 +178,44 @@ def test_shared_family_extends_as_one_thread_would():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == expected
+
+
+def test_two_threads_check_each_premise_once(monkeypatch):
+    # The first premise check is held until a second one starts, or for
+    # at most 0.5 s: a second thread that checks the premises while the
+    # first is still building them would count a degree twice.
+    fam = families._family.__wrapped__(FamilyKind.EULER, 10)
+    true, calls, counting, second = (appell._premises_at, [], threading.Lock(),
+                                     threading.Event())
+
+    def counted(f, m):
+        with counting:
+            calls.append(m)
+            first = len(calls) == 1
+        if first:
+            second.wait(0.5)
+        else:
+            second.set()
+        return true(f, m)
+
+    monkeypatch.setattr(appell, "_premises_at", counted)
+    results, errors = [], []
+
+    def ask():
+        try:
+            results.append(recurrence_residual(fam, 6))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=ask) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [XPoly(), XPoly()]
+    assert sorted(calls) == list(range(7))
 
 
 def test_shifted_generator_flag_and_rejection():

@@ -142,15 +142,17 @@ def _value_returns_rest(monkeypatch):
 
 
 def _misfiled(table: str):
+    # An entry of the family's `table` that is absent at n is built for
+    # n and stored under n + 1, where a later lookup at n + 1 finds it.
     def inject(monkeypatch):
-        true = AppellFamily._keep
+        true = AppellFamily._at
 
-        def keep(self, stored, n, value):
-            if stored is getattr(self, table):
-                n += 1
-            return true(self, stored, n, value)
+        def at(self, stored, n, build):
+            if stored is getattr(self, table) and n not in stored:
+                return true(self, stored, n + 1, lambda _: build(n))
+            return true(self, stored, n, build)
 
-        monkeypatch.setattr(AppellFamily, "_keep", keep)
+        monkeypatch.setattr(AppellFamily, "_at", at)
     return inject
 
 

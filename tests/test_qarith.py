@@ -7,8 +7,8 @@ import pytest
 
 from qappell import qarith, qpoly
 from qappell.qarith import (FracAcc, P_ONE, P_ZERO, PoleError, QPoly, QRat,
-                            q_binomial, q_double_factorial_even, q_factorial,
-                            q_integer, qpoly_gcd)
+                            QRAT_ONE, q_binomial, q_double_factorial_even,
+                            q_factorial, q_integer, qpoly_gcd, solve_step)
 from qappell.qpoly import _int_mul, _kron_pack, _kron_unpack, _width
 
 
@@ -207,6 +207,22 @@ def test_frac_acc_matches_pairwise_sum():
             acc.add(t)
             expected = expected + t
         assert acc.value() == expected
+
+
+def test_solve_step_with_a_unit_pivot_is_the_divided_form():
+    # A unit pivot skips the division, and the row keeps its value and
+    # its canonical form.
+    rng = random.Random(24)
+    units = [QRAT_ONE, QRat.q_integer(1), QRat.q_factorial(1), QRat.q_binomial(3, 0)]
+    for _ in range(40):
+        rhs = _random_qrat(rng)
+        terms = [(_random_qrat(rng), QRat.q_integer(rng.randint(0, 5)))
+                 for _ in range(rng.randint(0, 4))]
+        divided = sum((-a * b for a, b in terms), rhs) / QRAT_ONE
+        for pivot in units:
+            got = solve_step(rhs, terms, pivot)
+            assert got == divided
+            assert (got.num, got.den, str(got)) == (divided.num, divided.den, str(divided))
 
 
 def test_kron_unpack_round_trips_at_the_slot_limit():
