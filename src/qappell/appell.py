@@ -3,11 +3,13 @@
 A family is held in the q-divided-power basis of Al-Salam's q-Appell
 sets: its numbers A_k = [k]_q! [t^k]A(t) of the generator A(t).  In that
 basis e_q(t) is all ones, t -> qt multiplies A_k by q^k, t D_q multiplies
-it by [k]_q, and a product of series is a q-binomial convolution, so a
-family's numbers and alphas are triangular solves, computed as far as
-they are asked for.  The polynomials are A_n(x) = sum_k [n k]_q A_k
-x^(n-k).  The alpha coefficients are those of the quotient
-t * D_q A(t) / A(qt), and the two structural identities checked here are
+it by [k]_q, and a product of series is a q-binomial convolution.  So
+a quotient X(t) = N(t)/D(t) is one triangular solve, row m of
+X(t) D(t) = N(t) at a time (``quotient``), and a family's numbers and
+alphas are such quotients, computed as far as they are asked for.  The
+polynomials are A_n(x) = sum_k [n k]_q A_k x^(n-k).  The alpha
+coefficients are those of the quotient t * D_q A(t) / A(qt), and the
+two structural identities checked here are
 
   recurrence:  [n]_q A_n(qx) = sum_k [n k]_q alpha_k q^(n-k) A_{n-k}(x)
                                + x [n]_q q^n A_{n-1}(x)
@@ -245,6 +247,9 @@ class AppellFamily:
         self._references: dict[int, tuple] = {}
         self._premises: dict[int, bool] = {}
         self._generator: Series | None = None
+        # The alpha equation alpha(t) A(qt) = t D_q A(t) as (N_m, D_j).
+        self._alpha_equation = (lambda m: _qi(m) * self._numbers_upto(m)[m],
+                                lambda j: _qp(j) * self._numbers_upto(j)[j])
         head = self.numbers(1 if order > 0 else 0)
         self.shifted = head[0].is_zero()
         if self.shifted and (len(head) == 1 or head[1].is_zero()):
@@ -304,44 +309,43 @@ class AppellFamily:
 
     def alphas(self, upto: int) -> tuple[QRat, ...]:
         """alpha_0 .. alpha_upto, the divided-power coefficients of
-        t * D_q A(t) / A(qt).
-
-        In the divided-power basis the quotient is the deconvolution
-
-          sum_k [m k]_q q^(m-k) alpha_k A_{m-k} = [m]_q A_m,
-
-        solved for alpha_n at m = n, or at m = n + 1 for a shifted
-        generator (A_0 = 0), where the common factor t cancels.
-        """
+        t * D_q A(t) / A(qt): the ``quotient`` of the alpha equation, whose
+        numbers are N_m = [m]_q A_m and D_j = q^j A_j.  For a shifted
+        generator (A_0 = 0) the common factor t cancels there."""
         if upto > self.order - 1:
             raise ValueError(
                 f"alpha index {upto} exceeds order-1 = {self.order - 1}")
-        return tuple(self._extend(self._alphas, upto, self._alpha)[: upto + 1])
+        alpha = quotient(*self._alpha_equation)
+        return tuple(self._extend(self._alphas, upto,
+                                  lambda n: alpha(n, self._alphas))[: upto + 1])
 
     def alpha_defects(self, upto: int) -> tuple[QRat, ...]:
         """E_0 .. E_upto, E_m = [m]_q A_m - sum_k [m k]_q q^(m-k) alpha_k
-        A_{m-k}: the defects of the equation that defines the alphas,
-        all zero when they are its solution.  Each is one FracAcc sum."""
+        A_{m-k}: row m of the alpha equation over the alphas, all zero
+        when they are its solution.  Each is one FracAcc sum."""
         alphas = self.alphas(upto)
         return tuple(self._extend(self._alpha_defects, upto, lambda m: solve_step(
-            self._numbers_upto(m)[m] * _qi(m), self._terms(m, alphas[: m + 1]),
-            QRAT_ONE))[: upto + 1])
+            *_row(*self._alpha_equation, alphas[: m + 1], m), QRAT_ONE))[: upto + 1])
 
-    def _terms(self, m: int, alphas) -> list[tuple[QRat, QRat]]:
-        # The nonzero (weight alpha_k, A_{m-k}) pairs of the alpha
-        # equation at m, for the given alphas; the numbers come through
-        # _extend.
-        nums = self._numbers_upto(m)
-        return [(_qb(m, k) * _qp(m - k) * a, nums[m - k])
-                for k, a in enumerate(alphas) if a and nums[m - k]]
 
-    def _alpha(self, n: int) -> QRat:
-        # The step _extend runs, under the lock, for alpha_n: the prefix
-        # self._alphas holds alpha_0 .. alpha_{n-1}.
-        m = n + 1 if self.shifted else n
-        nums = self._numbers_upto(m)
-        pivot = nums[m - n] * _qb(m, n) * _qp(m - n)
-        return solve_step(nums[m] * _qi(m), self._terms(m, self._alphas), pivot)
+def _row(num, den, xs, m: int) -> tuple[QRat, list[tuple[QRat, QRat]]]:
+    """Row m of X(t) D(t) = N(t) in the divided-power basis,
+    sum_k [m k]_q x_k D_{m-k} = N_m, over the known x_k of xs: N_m and
+    the nonzero ([m k]_q x_k, D_{m-k}) pairs, for ``solve_step``."""
+    return _as_qrat(num(m)), [(_qb(m, k) * x, _as_qrat(d)) for k, x in enumerate(xs)
+                              if x and (d := den(m - k))]
+
+
+def quotient(num, den):
+    """The number rule (n, prefix) -> x_n of X(t) = N(t) / D(t), given the
+    divided-power numbers N_m = num(m) and D_j = den(j).  x_n is row
+    m = n + v solved with pivot [m n]_q D_v, where v = 1 when D_0 = 0
+    (the factor t of D(t) cancels against N(t)) and v = 0 otherwise."""
+    v = 0 if den(0) else 1
+
+    def number(n: int, prefix) -> QRat:
+        return solve_step(*_row(num, den, prefix, n + v), _qb(n + v, n) * den(v))
+    return number
 
 
 class DegreeRangeError(ValueError):

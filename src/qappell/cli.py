@@ -32,9 +32,6 @@ limits: --order <= {MAX_ORDER}; --max-n, --n <= {MAX_N}.  Wall time of one run
   verify --scope h0 --max-n 4 --order 140 | 200      0.08 s | 0.08 s
 """
 
-_FAMILY_SYMBOLS = {"bernoulli": "B", "euler": "E", "genocchi": "G", "hermite": "H"}
-_NUMBER_SYMBOLS = {"bernoulli": "b", "euler": "e", "genocchi": "g", "hermite": "h"}
-
 
 def _rational(text: str) -> Fraction:
     # Fraction("1/0") raises ZeroDivisionError, which argparse would not
@@ -125,8 +122,8 @@ def _write_table(args, key: str, values, latex_name) -> int:
 def cmd_numbers(args) -> int:
     _check_range("--max-n", args.max_n, 0, MAX_N)
     values = make_family(FamilyKind(args.family)).numbers(args.max_n)
-    sym = _NUMBER_SYMBOLS[args.family]
-    return _write_table(args, "numbers", values, lambda n: f"{sym}_{{{n},q}}")
+    return _write_table(args, "numbers", values,
+                        lambda n: f"{args.family[0]}_{{{n},q}}")
 
 
 def cmd_poly(args) -> int:
@@ -136,7 +133,7 @@ def cmd_poly(args) -> int:
     for key, point in (("at_q", args.at_q), ("at_x", args.at_x)):
         if point is not None:
             payload[key] = str(point)
-    lhs = f"{_FAMILY_SYMBOLS[args.family]}_{{{args.n},q}}"
+    lhs = f"{args.family[0].upper()}_{{{args.n},q}}"
     lhs += "(x)" if args.at_x is None else f"({args.at_x})"
     if args.at_q is not None and args.at_x is not None:
         value = poly.evaluate(args.at_q, args.at_x)

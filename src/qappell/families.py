@@ -8,11 +8,12 @@ Generators:
   hermite     sum (-1)^m q^(m(m-1)) t^(2m) / [2m]_q!!
 
 Each family is built from its divided-power numbers A_n = [n]_q! [t^n]A(t).
-A product of series is a q-binomial convolution of numbers and e_q(t)
-has every number equal to 1, so clearing the denominator of a generator
-turns it into one triangular solve; the Hermite numbers have a closed
-form.  The numbers extend on demand, so what a family costs depends on
-the degrees asked for, not on its order.
+In that basis e_q(t) -/+ 1 has the numbers 1 -/+ delta_{j0}, so each of
+the first three generators, printed as N(t)/D(t), is declared as the
+:func:`qappell.appell.quotient` of its N_m and D_j, and so is the
+Euler-number generator t e_q(t) / (e_q(2t) - 1); the Hermite numbers
+have a closed form.  The numbers extend on demand, so what a family
+costs depends on the degrees asked for, not on its order.
 
 The specialized recurrence/difference statements for the first three
 families (claims b1, b2, e1, e2, g1, g2) are checked exactly as printed:
@@ -31,10 +32,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qarith import QRat, QRAT_ONE, QRAT_ZERO, solve_step
+from .qarith import QRat, QRAT_ONE, QRAT_ZERO
 from .qseries import Series
-from .appell import (AppellFamily, XPoly, _qb, _qf, _qi, _qp,
-                     difference_form, divided_power_series, recurrence_form)
+from .appell import (AppellFamily, XPoly, _qb, _qf, _qi, _qp, difference_form,
+                     divided_power_series, quotient, recurrence_form)
 
 
 class FamilyKind(str, Enum):
@@ -42,23 +43,6 @@ class FamilyKind(str, Enum):
     EULER = "euler"
     GENOCCHI = "genocchi"
     HERMITE = "hermite"
-
-
-def _row(prefix, m: int, base: int = 1):
-    """The terms [m k]_q base^(m-k) x_k over a known prefix x_0 .. x_{n-1},
-    as (coefficient, x_k) pairs for ``solve_step``."""
-    return ((_qb(m, k) * base ** (m - k), x) for k, x in enumerate(prefix) if x)
-
-
-def _bernoulli_number(n: int, b) -> QRat:
-    # t / (e_q(t) - 1):  sum_{k<=n} [n+1 k]_q b_k = delta_{n0}
-    return solve_step(QRat(int(n == 0)), _row(b, n + 1), _qi(n + 1))
-
-
-def _euler_numbers_solve(first: int):
-    # 2 / (e_q(t) + 1) at first = 0, 2t / (e_q(t) + 1) at first = 1:
-    # 2 A_n = 2 delta_{n,first} - sum_{k<n} [n k]_q A_k
-    return lambda n, a: solve_step(QRat(2 * (n == first)), _row(a, n), QRat(2))
 
 
 def _hermite_number(n: int, _) -> QRat:
@@ -70,10 +54,13 @@ def _hermite_number(n: int, _) -> QRat:
     return -h if m % 2 else h
 
 
+# Each family's number rule: its printed generator N(t) / D(t) as the
+# quotient of the divided-power numbers N_m and D_j (e_q(t) -/+ 1 has
+# D_j = 1 -/+ delta_{j0}), or the Hermite closed form.
 _NUMBERS = {
-    FamilyKind.BERNOULLI: _bernoulli_number,
-    FamilyKind.EULER: _euler_numbers_solve(0),
-    FamilyKind.GENOCCHI: _euler_numbers_solve(1),
+    FamilyKind.BERNOULLI: quotient(lambda m: int(m == 1), lambda j: 1 - (j == 0)),
+    FamilyKind.EULER: quotient(lambda m: 2 * (m == 0), lambda j: 1 + (j == 0)),
+    FamilyKind.GENOCCHI: quotient(lambda m: 2 * (m == 1), lambda j: 1 + (j == 0)),
     FamilyKind.HERMITE: _hermite_number,
 }
 
@@ -113,17 +100,15 @@ def euler_number_series(order: int) -> Series:
 
 def euler_numbers(upto: int) -> list[QRat]:
     """e_0 .. e_upto, the divided-power coefficients of the Euler-number
-    generator: sum_{k<=n} [n+1 k]_q 2^(n+1-k) e_k = [n+1]_q."""
+    generator t e_q(t) / (e_q(2t) - 1)."""
     return list(_euler_number_family().numbers(upto))
 
 
 @lru_cache(maxsize=None)
 def _euler_number_family() -> AppellFamily:
-    def number(n, e):
-        qn = _qi(n + 1)
-        return solve_step(qn, _row(e, n + 1, 2), qn * 2)
-
-    return AppellFamily.from_numbers("euler-numbers", MAX_ORDER, number)
+    # t e_q(t) has the numbers [m]_q, e_q(2t) - 1 the numbers 2^j - delta_{j0}.
+    return AppellFamily.from_numbers("euler-numbers", MAX_ORDER, quotient(
+        _qi, lambda j: 2 ** j - (j == 0)))
 
 
 def classical_limit(kind: FamilyKind, n: int) -> list[Fraction]:

@@ -22,8 +22,7 @@ from .families import (DiscrepancyReport, FamilyKind, make_family,
                        verify_euler_number_relation, verify_printed_theorem)
 from .render import xpoly_to_json
 
-ALL_FAMILIES = (FamilyKind.BERNOULLI, FamilyKind.EULER,
-                FamilyKind.GENOCCHI, FamilyKind.HERMITE)
+ALL_FAMILIES = tuple(FamilyKind)
 
 
 def _families():

@@ -464,6 +464,28 @@ def test_non_cyclotomic_generator_passes_the_general_identities():
     assert max(a.den.degree for a in alphas) == 44
 
 
+@pytest.mark.parametrize("valuation", (0, 1))
+def test_quotient_is_series_division_in_the_divided_power_basis(valuation):
+    """appell.quotient(num, den) on numbers with the factors 1 + 2q and
+    2 + q, which no exponent vector covers: x_n is [n]_q! times the t^n
+    coefficient of N(t)/D(t) divided as plain series.  With D_0 = 0 the
+    rule solves row n + 1, where the common factor t of N and D cancels."""
+    order = 6
+    den = [QRat(0)] * valuation + [QRat(QPoly((j, 1, 1)), QPoly((2, 1)))
+                                   for j in range(valuation, order + 1)]
+    num = [QRat(0)] * valuation + [QRat(QPoly((1, -m)), QPoly((1, 2)))
+                                   for m in range(valuation, order + 1)]
+    rule = appell.quotient(num.__getitem__, den.__getitem__)
+    xs = []
+    for n in range(order - valuation + 1):
+        xs.append(rule(n, xs))
+    plain = [Series([c / QRat.q_factorial(j) for j, c in enumerate(cs)])
+             for cs in (num, den)]
+    quot = plain[0].divide(plain[1])
+    assert xs == [c * QRat.q_factorial(n) for n, c in enumerate(quot.coeffs)]
+    assert all(x._m is None for x in xs[1:])
+
+
 def test_x_and_t_transforms_agree_coefficient_by_coefficient():
     """XPoly.scale_x and Series.scale_arg, and the two q_derivative
     methods, give the same coefficients on the same sequence, a

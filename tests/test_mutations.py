@@ -156,6 +156,20 @@ def _misfiled(table: str):
     return inject
 
 
+def _row_four_off_by_q(monkeypatch):
+    # Row 4 of every divided-power quotient gains q on its right side, so
+    # the numbers, the alphas and the alpha defects move together: a1, a2
+    # and lowering hold for the moved families, as for every q-Appell
+    # family, and h1 and h2 fail at n = 4 through the Hermite alphas.
+    true = appell._row
+
+    def row(num, den, xs, m):
+        rhs, pairs = true(num, den, xs, m)
+        return (rhs + QRAT_Q if m == 4 else rhs), pairs
+
+    monkeypatch.setattr(appell, "_row", row)
+
+
 FAULTS = {
     "wrong q-binomial row": _wrong_binomial_row,
     "wrong q-integer row": _wrong_integer_row,
@@ -166,6 +180,7 @@ FAULTS = {
     "FracAcc.value returns _rest": _value_returns_rest,
     "reference filed under n + 1": _misfiled("_references"),
     "premises filed under n + 1": _misfiled("_premises"),
+    "quotient row 4 off by q": _row_four_off_by_q,
 }
 
 

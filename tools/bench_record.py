@@ -13,16 +13,18 @@ alternating in the same way), since per-layer self times swing more than
 2x between runs of one tree; it keeps every traced run and writes each
 side's per-metric median.  A ``depth`` block, which no gate reads,
 times ``python -m qappell verify --scope all --max-n M`` for M in 20,
-24 and 32 as fresh processes, five alternating pairs per tree, and records
-every wall time, each side's median and the change's wins.  The file
-also records the
-seeds, the pair count, ``platform.platform()`` and ``sys.version``, the
-line count of ``src/**/*.py`` in each tree (``src_lines``), and per
-end-to-end metric the median and quartiles of each side, the number
-of pairs the change won, and ``unresolved``: true when the parent's
-interquartile spread exceeds the metric's ``BENCHMARK.json`` bound times
-the parent median and not every change run reads better than every
-parent run, so the runs cannot tell a move within the bound from noise.
+24 and 32 as fresh processes in ten alternating pairs per tree, each
+pair running every depth so that drift reaches all of them alike, and
+records every wall time, each side's median and quartiles, the change's
+wins and ``unresolved`` at the ``wall_s`` bound (defined below).  The
+file also records the seeds, the pair count, ``platform.platform()``
+and ``sys.version``, the line count of ``src/**/*.py`` in each tree
+(``src_lines``), and per end-to-end metric the median and quartiles of
+each side, the number of pairs the change won, and ``unresolved``: true
+when the parent's interquartile spread exceeds the metric's
+``BENCHMARK.json`` bound times the parent median and not every change
+run reads better than every parent run, so the runs cannot tell a move
+within the bound from noise.
 Standard library only; run it on an otherwise idle machine.
 """
 
@@ -44,7 +46,7 @@ PAIRS = 10
 TRACE_PAIRS = 5
 FIRST_SEED = 101
 DEPTH_MAX_N = (20, 24, 32)
-DEPTH_PAIRS = 5
+DEPTH_PAIRS = 10
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -74,6 +76,12 @@ def unresolved(parent: list[float], change: list[float], lower: bool,
     return not min(change) > max(parent)
 
 
+def spread(values: list[float]) -> dict:
+    """The median and quartiles of one side's runs."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
 def summarize(pairs: list[dict], better: dict[str, str],
               bounds: dict[str, float]) -> dict:
     """Median and quartiles per side, the change's wins and whether the
@@ -90,10 +98,7 @@ def summarize(pairs: list[dict], better: dict[str, str],
                  "change_wins": wins, "pairs": len(pairs),
                  "unresolved": unresolved(sides["parent"], sides["change"],
                                           lower, bounds[name])}
-        for side, values in sides.items():
-            q1, _, q3 = statistics.quantiles(values, n=4)
-            entry[side] = {"median": statistics.median(values),
-                           "q1": q1, "q3": q3}
+        entry.update((side, spread(values)) for side, values in sides.items())
         out[name] = entry
     out["attempted"] = {side: [p[side]["attempted"] for p in pairs]
                         for side in ("parent", "change")}
@@ -127,21 +132,26 @@ def cli_wall(tree: Path, argv: list[str]) -> float:
     return time.perf_counter() - start
 
 
-def depth(trees: dict[str, Path]) -> dict:
+def depth(trees: dict[str, Path], bound: float) -> dict:
     """Fresh-process wall times of verify-all at each depth, per tree in
-    alternating order, with each side's median and the change's wins."""
-    out = {}
-    for max_n in DEPTH_MAX_N:
-        argv = ["verify", "--scope", "all", "--max-n", str(max_n)]
-        walls = {"parent": [], "change": []}
-        for i in range(DEPTH_PAIRS):
+    alternating order: each pair runs every depth, so drift over the
+    block reaches every depth alike.  Per depth, each side's median and
+    quartiles, the change's wins and whether the runs are unresolved at
+    the wall_s bound."""
+    walls = {max_n: {"parent": [], "change": []} for max_n in DEPTH_MAX_N}
+    for i in range(DEPTH_PAIRS):
+        for max_n in DEPTH_MAX_N:
+            argv = ["verify", "--scope", "all", "--max-n", str(max_n)]
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                walls[side].append(cli_wall(trees[side], argv))
-        print(f"depth max-n {max_n}: done", file=sys.stderr)
-        out[" ".join(argv)] = {
-            "unit": "s", "pairs": DEPTH_PAIRS, "runs": walls,
-            "median": {side: statistics.median(v) for side, v in walls.items()},
-            "change_wins": sum(c < p for p, c in zip(walls["parent"], walls["change"]))}
+                walls[max_n][side].append(cli_wall(trees[side], argv))
+        print(f"depth pair {i}: done", file=sys.stderr)
+    out = {}
+    for max_n, runs in walls.items():
+        entry = {"unit": "s", "pairs": DEPTH_PAIRS, "runs": runs,
+                 "change_wins": sum(c < p for p, c in zip(runs["parent"], runs["change"])),
+                 "unresolved": unresolved(runs["parent"], runs["change"], True, bound)}
+        entry.update((side, spread(values)) for side, values in runs.items())
+        out[f"verify --scope all --max-n {max_n}"] = entry
     return out
 
 
@@ -184,7 +194,7 @@ def main(argv=None) -> int:
     traces = alternate(trees, TRACE_WORKLOAD, seeds[:TRACE_PAIRS], seconds, 1)
     result["workloads"][TRACE_WORKLOAD]["trace"] = {
         "runs": traces, "median": trace_medians(traces)}
-    result["depth"] = depth(trees)
+    result["depth"] = depth(trees, bounds["wall_s"])
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
