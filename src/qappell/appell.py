@@ -5,11 +5,11 @@ sets: its numbers A_k = [k]_q! [t^k]A(t) of the generator A(t).  In that
 basis e_q(t) is all ones, t -> qt multiplies A_k by q^k, t D_q multiplies
 it by [k]_q, and a product of series is a q-binomial convolution.  So
 a quotient X(t) = N(t)/D(t) is one triangular solve, row m of
-X(t) D(t) = N(t) at a time (``quotient``), and a family's numbers and
-alphas are such quotients, computed as far as they are asked for.  The
-polynomials are A_n(x) = sum_k [n k]_q A_k x^(n-k).  The alpha
-coefficients are those of the quotient t * D_q A(t) / A(qt), and the
-two structural identities checked here are
+X(t) D(t) = N(t) at a time (``quotient``), computed as far as it is
+asked for.  The polynomials are A_n(x) = sum_k [n k]_q A_k x^(n-k).  The
+alphas are the coefficients of t * D_q A(t) / A(qt), given by the
+family's alpha rule or else solved as that quotient, and the two
+structural identities checked here are
 
   recurrence:  [n]_q A_n(qx) = sum_k [n k]_q alpha_k q^(n-k) A_{n-k}(x)
                                + x [n]_q q^n A_{n-1}(x)
@@ -220,18 +220,19 @@ class AppellFamily:
 
     def __init__(self, name: str, generator: Series):
         coeffs = generator.coeffs
-        self._start(name, generator.order, lambda n, _: coeffs[n] * _qf(n))
+        self._start(name, generator.order, lambda n, _: coeffs[n] * _qf(n), None)
         self._generator = generator
 
     @classmethod
-    def from_numbers(cls, name: str, order: int, number) -> AppellFamily:
+    def from_numbers(cls, name: str, order: int, number, alpha=None) -> AppellFamily:
         """The family whose A_n is ``number(n, prefix)``, where prefix
-        holds A_0 .. A_{n-1}.  A_0 and A_1 must not both vanish."""
+        holds A_0 .. A_{n-1}.  A_0 and A_1 must not both vanish.  Its
+        alpha_k is ``alpha(k, A_0 .. A_k)``, or solved without a rule."""
         fam = cls.__new__(cls)
-        fam._start(name, order, number)
+        fam._start(name, order, number, alpha)
         return fam
 
-    def _start(self, name: str, order: int, number) -> None:
+    def _start(self, name: str, order: int, number, alpha) -> None:
         self.name = name
         self.order = order
         self._number = number
@@ -250,6 +251,8 @@ class AppellFamily:
         # The alpha equation alpha(t) A(qt) = t D_q A(t) as (N_m, D_j).
         self._alpha_equation = (lambda m: _qi(m) * self._numbers_upto(m)[m],
                                 lambda j: _qp(j) * self._numbers_upto(j)[j])
+        solve = quotient(*self._alpha_equation)
+        self._alpha = alpha or (lambda k, _: solve(k, self._alphas))
         head = self.numbers(1 if order > 0 else 0)
         self.shifted = head[0].is_zero()
         if self.shifted and (len(head) == 1 or head[1].is_zero()):
@@ -309,15 +312,14 @@ class AppellFamily:
 
     def alphas(self, upto: int) -> tuple[QRat, ...]:
         """alpha_0 .. alpha_upto, the divided-power coefficients of
-        t * D_q A(t) / A(qt): the ``quotient`` of the alpha equation, whose
-        numbers are N_m = [m]_q A_m and D_j = q^j A_j.  For a shifted
-        generator (A_0 = 0) the common factor t cancels there."""
+        t * D_q A(t) / A(qt): the family's alpha rule, or else the ``quotient``
+        of the alpha equation, N_m = [m]_q A_m and D_j = q^j A_j, where the
+        common factor t cancels for a shifted generator (A_0 = 0)."""
         if upto > self.order - 1:
             raise ValueError(
                 f"alpha index {upto} exceeds order-1 = {self.order - 1}")
-        alpha = quotient(*self._alpha_equation)
-        return tuple(self._extend(self._alphas, upto,
-                                  lambda n: alpha(n, self._alphas))[: upto + 1])
+        return tuple(self._extend(self._alphas, upto, lambda k: self._alpha(
+            k, self._numbers_upto(k)))[: upto + 1])
 
     def alpha_defects(self, upto: int) -> tuple[QRat, ...]:
         """E_0 .. E_upto, E_m = [m]_q A_m - sum_k [m k]_q q^(m-k) alpha_k

@@ -26,7 +26,7 @@ _LIMITS = f"""\
 limits: --order <= {MAX_ORDER}; --max-n, --n <= {MAX_N}.  Wall time of one run
 (median of 5 runs, 11 for verify, Python 3.11, 2-vCPU x86-64 VM):
   numbers, alpha, poly at n <= 24, any family       <= 0.25 s
-  alpha --family bernoulli --max-n 31                0.58 s
+  alpha --family bernoulli --max-n 31                0.30 s
   verify --scope all --max-n 12 | 16 | 20 | 24       0.15 s | 0.18 s | 0.26 s | 0.44 s
   verify --scope all --max-n 32                      1.7 s
   verify --scope h0 --max-n 4 --order 140 | 200      0.08 s | 0.08 s

@@ -8,12 +8,12 @@ Generators:
   hermite     sum (-1)^m q^(m(m-1)) t^(2m) / [2m]_q!!
 
 Each family is built from its divided-power numbers A_n = [n]_q! [t^n]A(t).
-In that basis e_q(t) -/+ 1 has the numbers 1 -/+ delta_{j0}, so each of
-the first three generators, printed as N(t)/D(t), is declared as the
-:func:`qappell.appell.quotient` of its N_m and D_j, and so is the
-Euler-number generator t e_q(t) / (e_q(2t) - 1); the Hermite numbers
-have a closed form.  The numbers extend on demand, so what a family
-costs depends on the degrees asked for, not on its order.
+The first three are c t^p / (a e_q(t) + b), declared once as (a, b, c, p):
+``_shape`` gives the numbers, a :func:`qappell.appell.quotient`, and the
+alphas in closed form, so a1 and a2 check one against the other.  The
+Hermite numbers and alphas are closed forms, and the Euler-number
+generator t e_q(t) / (e_q(2t) - 1) is a quotient.  The numbers extend on
+demand, so what a family costs depends on the degrees asked for.
 
 The specialized recurrence/difference statements for the first three
 families (claims b1, b2, e1, e2, g1, g2) are checked exactly as printed:
@@ -54,14 +54,26 @@ def _hermite_number(n: int, _) -> QRat:
     return -h if m % 2 else h
 
 
-# Each family's number rule: its printed generator N(t) / D(t) as the
-# quotient of the divided-power numbers N_m and D_j (e_q(t) -/+ 1 has
-# D_j = 1 -/+ delta_{j0}), or the Hermite closed form.
-_NUMBERS = {
-    FamilyKind.BERNOULLI: quotient(lambda m: int(m == 1), lambda j: 1 - (j == 0)),
-    FamilyKind.EULER: quotient(lambda m: 2 * (m == 0), lambda j: 1 + (j == 0)),
-    FamilyKind.GENOCCHI: quotient(lambda m: 2 * (m == 1), lambda j: 1 + (j == 0)),
-    FamilyKind.HERMITE: _hermite_number,
+def _shape(a: int, b: int, c: int, p: int):
+    """The number and alpha rules of c t^p / (a e_q(t) + b), p in {0, 1}
+    (a t-power, not ``quotient``'s shift).  e_q(qt) = (1 + (q-1)t) e_q(t)
+    gives alpha_k = q^(-p) (p delta_{k0} - delta_{k1} + (b/c) T_k), with
+    T_k = A_k if p = 1 and T_k = [k]_q A_{k-1} (T_0 = 0) if p = 0."""
+    ratio = Fraction(b, c)
+
+    def alpha(k: int, nums) -> QRat:
+        t = nums[k] if p else _qi(k) * nums[k - 1] if k else QRAT_ZERO
+        return (t * ratio + (p * (k == 0) - (k == 1))) / _qp(p)
+
+    return quotient(lambda m: c * (m == p), lambda j: a + b * (j == 0)), alpha
+
+
+# Each family's (number, alpha) rules; D_q H(t) = -t H(qt) gives alpha(t) = -t^2.
+_RULES = {
+    FamilyKind.BERNOULLI: _shape(1, -1, 1, 1),
+    FamilyKind.EULER: _shape(1, 1, 2, 0),
+    FamilyKind.GENOCCHI: _shape(1, 1, 2, 1),
+    FamilyKind.HERMITE: (_hermite_number, lambda k, _: -_qi(2) * (k == 2)),
 }
 
 
@@ -88,7 +100,7 @@ def make_family(kind: FamilyKind, order: int = MAX_ORDER) -> AppellFamily:
 
 @lru_cache(maxsize=None)
 def _family(kind: FamilyKind, order: int) -> AppellFamily:
-    return AppellFamily.from_numbers(kind.value, order, _NUMBERS[kind])
+    return AppellFamily.from_numbers(kind.value, order, *_RULES[kind])
 
 
 def euler_number_series(order: int) -> Series:

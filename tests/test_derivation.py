@@ -83,10 +83,13 @@ _PRINTED = [(claim, 1, residual)
 
 
 def _perturbed(kind: FamilyKind, at: int, delta: QRat) -> AppellFamily:
-    rule = families._NUMBERS[kind]
+    # The declared alphas of `kind` over its numbers with A_at moved, so
+    # the alpha defects are not zero.
+    rule, alpha = families._RULES[kind]
     return AppellFamily.from_numbers(
         f"{kind.value}+{at}", ORDER,
-        lambda n, prefix: rule(n, prefix) + delta if n == at else rule(n, prefix))
+        lambda n, prefix: rule(n, prefix) + delta if n == at else rule(n, prefix),
+        alpha)
 
 
 def _series_family() -> AppellFamily:
@@ -229,6 +232,26 @@ def test_changed_alpha_fails_a1_and_a2_with_the_direct_residuals():
             verify(twin, 1, MAX_N).residuals
             for verify in (verify_recurrence_range, verify_difference_range)]
     assert verify_lowering_range(fam, MAX_N).passed
+
+
+# Each perturbed family keeps the declared alphas of its kind, so its
+# moved number is an alpha defect from that degree on.
+_MOVED_AT = {"B_4+q^2": 4, "E_3+1": 3, "G_5+(1+q)/(1+q^2)": 5, "H_6+q": 6}
+
+
+@pytest.mark.parametrize("family", list(_MOVED_AT))
+def test_moved_number_fails_a1_and_a2_with_the_direct_residuals(family):
+    fam, at = FAMILIES[family](), _MOVED_AT[family]
+    assert [m for m, e in enumerate(fam.alpha_defects(at)) if e] == [at]
+    assert appell._derivable(fam, MAX_N)
+    reports = [verify(fam, 1, MAX_N)
+               for verify in (verify_recurrence_range, verify_difference_range)]
+    assert [(r.passed, r.first_failure) for r in reports] == [(False, at)] * 2
+    with direct_forms():
+        twin = FAMILIES[family]()
+        assert [r.residuals for r in reports] == [
+            verify(twin, 1, MAX_N).residuals
+            for verify in (verify_recurrence_range, verify_difference_range)]
 
 
 def test_off_by_one_q_power_in_a2_weights_fails_a2(monkeypatch):

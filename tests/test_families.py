@@ -5,9 +5,9 @@ import pytest
 from qappell.qarith import (QPoly, QRat, QRAT_Q, QRAT_ZERO,
                             q_double_factorial_even, q_factorial)
 from qappell.qseries import Series, eq_exponential
-from qappell.appell import XPoly
-from qappell.families import (DiscrepancyReport, FamilyKind, classical_limit,
-                              euler_number_series, euler_numbers,
+from qappell.appell import XPoly, _qf, _qi, _qp, difference_form
+from qappell.families import (DiscrepancyReport, FamilyKind, _e1_residual,
+                              classical_limit, euler_number_series, euler_numbers,
                               first_counterexample, make_family,
                               verify_euler_number_relation,
                               verify_printed_theorem)
@@ -237,3 +237,27 @@ def test_polynomial_side_matches_classical_euler_numbers_at_q1():
     for n in range(9):
         value = eul.polynomial(n).evaluate_x(Fraction(1, 2)) * QRat(2 ** n)
         assert value.evaluate(1) == expected[n]
+
+
+# The corrected Euler errata: a1 and a2 with the Euler alphas
+# alpha_k = -delta_{k1} + [k]_q E_{k-1,q}(0) / 2 substituted.  The printed
+# e1 and e2 stay refuted as printed; these forms hold.
+
+def test_corrected_e1_values_reading_holds():
+    # The values reading of e1 plus q^(n-1) E_{n-1,q}(x), the delta_{k1}
+    # term of alpha_1 = -1/2.
+    fam = make_family(FamilyKind.EULER)
+    for n in range(2, 25):
+        e1 = _e1_residual(fam, n, fam.numbers(n))
+        assert (e1 + fam.polynomial(n - 1).scale(_qp(n - 1))).is_zero(), n
+
+
+def test_corrected_e2_reads_the_euler_polynomials_at_zero():
+    # e2 with E_{k-1,q}(0) = A_{k-1} in place of the printed e_{k-1,q}.
+    fam = make_family(FamilyKind.EULER)
+    for n in range(2, 25):
+        a = fam.numbers(n)
+        assert difference_form(fam, n, -_qi(n), _qp(n), [
+            (1, -_qp(n - 1) / 2),
+            *((k, _qp(n - k) * a[k - 1] / (_qf(k - 1) * 2)) for k in range(2, n + 1)),
+        ]).is_zero(), n

@@ -158,9 +158,11 @@ def _misfiled(table: str):
 
 def _row_four_off_by_q(monkeypatch):
     # Row 4 of every divided-power quotient gains q on its right side, so
-    # the numbers, the alphas and the alpha defects move together: a1, a2
-    # and lowering hold for the moved families, as for every q-Appell
-    # family, and h1 and h2 fail at n = 4 through the Hermite alphas.
+    # the B, E and G numbers move from index 3 (Bernoulli, whose row 4
+    # gives B_3) or 4 on, and so does the alpha equation's row 4.  The
+    # declared alphas no longer match the moved numbers, so a1 and a2
+    # fail on every family by n = 4 (on Bernoulli at n = 3), and h1 and
+    # h2 fail at n = 4 through the Hermite defect E_4.
     true = appell._row
 
     def row(num, den, xs, m):
@@ -168,6 +170,17 @@ def _row_four_off_by_q(monkeypatch):
         return (rhs + QRAT_Q if m == 4 else rhs), pairs
 
     monkeypatch.setattr(appell, "_row", row)
+
+
+def _bernoulli_4_off_by_q_squared(monkeypatch):
+    # The declared Bernoulli number rule gains q^2 at n = 4; its alpha
+    # rule stays the closed form, so E_4 = ([4]_q + 1/q) q^2.
+    number, alpha = families._RULES[FamilyKind.BERNOULLI]
+
+    def moved(n, prefix):
+        return number(n, prefix) + QRat.q_power(2) if n == 4 else number(n, prefix)
+
+    monkeypatch.setitem(families._RULES, FamilyKind.BERNOULLI, (moved, alpha))
 
 
 FAULTS = {
@@ -181,6 +194,7 @@ FAULTS = {
     "reference filed under n + 1": _misfiled("_references"),
     "premises filed under n + 1": _misfiled("_premises"),
     "quotient row 4 off by q": _row_four_off_by_q,
+    "B_4 + q^2": _bernoulli_4_off_by_q_squared,
 }
 
 
@@ -268,5 +282,35 @@ def test_a_wrong_q_factorial_fails_lowering(monkeypatch):
         fam = families._family.__wrapped__(FamilyKind.EULER, ORDER)
         report = verify_lowering_range(fam, MAX_N)
         assert (report.passed, report.first_failure) == (False, 5)
+    finally:
+        _clear_value_caches()
+
+
+# A wrong family fails a1 and a2 where its numbers leave the declared
+# alphas: (theorem, family) -> first failing degree, every other pair of
+# a1, a2 and lowering passing.
+
+_WRONG_FAMILIES = {
+    "B_4 + q^2": {("a1", "bernoulli"): 4, ("a2", "bernoulli"): 4},
+    "quotient row 4 off by q": {
+        **{(check, "bernoulli"): 3 for check in ("a1", "a2")},
+        **{(check, kind): 4 for check in ("a1", "a2")
+           for kind in ("euler", "genocchi", "hermite")}},
+}
+
+
+@pytest.mark.parametrize("fault", list(_WRONG_FAMILIES))
+def test_a_wrong_family_fails_a1_and_a2(fault, monkeypatch):
+    FAULTS[fault](monkeypatch)
+    _clear_value_caches()
+    try:
+        failures = {}
+        for kind in ALL_FAMILIES:
+            fam = families._family.__wrapped__(kind, ORDER)
+            for name, check in _DERIVED_CHECKS.items():
+                report = check(fam, MAX_N)
+                if not report.passed:
+                    failures[name, kind.value] = report.first_failure
+        assert failures == _WRONG_FAMILIES[fault]
     finally:
         _clear_value_caches()

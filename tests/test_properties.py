@@ -18,7 +18,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from qappell import qarith  # noqa: E402
 from qappell.appell import AppellFamily, divided_power_series  # noqa: E402
-from qappell.families import FamilyKind, make_family  # noqa: E402
+from qappell.families import FamilyKind, _shape, make_family  # noqa: E402
 from qappell.qarith import (FracAcc, P_ONE, PoleError, QPoly,  # noqa: E402
                             QRat, q_integer, qpoly_gcd)
 from qappell.qseries import Series  # noqa: E402
@@ -292,6 +292,29 @@ def test_ordinary_basis_round_trip(valuation, lead, rest):
     fam = AppellFamily("c", Series(coeffs))
     again = divided_power_series(fam.numbers(fam.order))
     assert again.coeffs == Series(coeffs).coeffs
+
+
+@st.composite
+def _shapes(draw):
+    """A valid shape (a, b, c, p) of c t^p / (a e_q(t) + b): a, c != 0,
+    and a + b != 0 unless the factor t cancels (p = 1)."""
+    a, c = (draw(st.integers(-3, 3).filter(bool)) for _ in range(2))
+    p = draw(st.sampled_from((0, 1)))
+    b = draw(st.integers(-3, 3).filter(lambda b: a + b or p))
+    return a, b, c, p
+
+
+@hyp.settings(max_examples=20, deadline=None)
+@hyp.given(shape=_shapes())
+@hyp.example(shape=(2, -1, 1, 1))   # Apostol type t / (2 e_q(t) - 1)
+@hyp.example(shape=(1, -3, -2, 0))  # Frobenius-Euler type -2 / (e_q(t) - 3)
+def test_declared_alphas_equal_the_solved_alphas(shape):
+    a, b, _, p = shape
+    number, alpha = _shape(*shape)
+    declared = AppellFamily.from_numbers("declared", 13, number, alpha)
+    solved = AppellFamily.from_numbers("solved", 13, number)
+    assert declared.shifted == bool(p and a + b)
+    assert declared.alphas(12) == solved.alphas(12)
 
 
 def _sympy_expr(sympy, q, p: QPoly):
