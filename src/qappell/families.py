@@ -15,18 +15,19 @@ Hermite numbers and alphas are closed forms, and the Euler-number
 generator t e_q(t) / (e_q(2t) - 1) is a quotient.  The numbers extend on
 demand, so what a family costs depends on the degrees asked for.
 
-The specialized recurrence/difference statements for the first three
-families (claims b1, b2, e1, e2, g1, g2) are checked exactly as printed:
-each is its list of printed terms in :func:`qappell.appell.recurrence_form`
-(b1, e1, g1) or :func:`qappell.appell.difference_form` (b2, e2, g2), the
-two shapes of the general identities.  They are reported descriptively:
-a refuted claim is recorded with its smallest counterexample instead of
-failing, since the general identities verified in :mod:`qappell.appell`
-are the ground truth.
+Every descriptive claim is one row of ``PRINTED_CLAIMS``, run by
+:func:`verify_printed_theorem`: b1, b2, e1 (in two readings), e2, g1 and
+g2 are lists of printed terms in :func:`qappell.appell.recurrence_form`
+or :func:`qappell.appell.difference_form`, and the bare Hermite sum and
+the Euler-number relation are the last two rows.  They are reported
+descriptively: a refuted claim is recorded with its smallest
+counterexample instead of failing, since the general identities verified
+in :mod:`qappell.appell` are the ground truth.
 """
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -52,6 +53,17 @@ def _hermite_number(n: int, _) -> QRat:
     m = n // 2
     h = _qp(m * (m - 1)) * _qf(n) / QRat.q_double_factorial_even(m)
     return -h if m % 2 else h
+
+
+def printed_series_form(n: int) -> XPoly:
+    """The bare explicit sum without the [n]_q! factor, exactly as printed."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    coeffs = [QRAT_ZERO] * (n + 1)
+    for k in range(n // 2 + 1):
+        c = _qp(k * (k - 1)) / (QRat.q_double_factorial_even(k) * _qf(n - 2 * k))
+        coeffs[n - 2 * k] = -c if k % 2 else c
+    return XPoly(coeffs)
 
 
 def _shape(a: int, b: int, c: int, p: int):
@@ -81,21 +93,27 @@ _RULES = {
 # largest index the Hermite ratio check reads (other degrees stop at 32).
 MAX_ORDER = 200
 
+# The lock every shared family is built under: an lru_cache does not
+# serialize a miss, so first callers on two threads would each build one.
+_BUILDING = threading.Lock()
+
 
 @lru_cache(maxsize=None)
 def make_family(kind: FamilyKind, order: int = MAX_ORDER) -> AppellFamily:
     """The family of `kind` whose numbers, alphas and polynomials reach
     `order`.  Without an order it is the one family of its kind that
     every command and check shares; it extends on demand, so no value
-    depends on the order.  A kind given as its string value, or the
-    order given as MAX_ORDER, returns the same family.  ``_family``
-    holds the families, keyed on the normalized pair; this cache keys on
-    the arguments as spelled, so its ``cache_info()`` counts spellings
-    and its ``cache_clear()`` drops no family.
+    depends on the order.  A kind given as its string value, the order
+    given as MAX_ORDER, or a call racing another returns the same family.
+    ``_family`` holds the families, keyed on the normalized pair and built
+    under ``_BUILDING``; this cache keys on the arguments as spelled, so
+    its ``cache_info()`` counts spellings and its ``cache_clear()`` drops
+    no family.
     """
     if order < 2:
         raise ValueError("family order must be >= 2")
-    return _family(FamilyKind(kind), order)
+    with _BUILDING:
+        return _family(FamilyKind(kind), order)
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +131,9 @@ def euler_number_series(order: int) -> Series:
 def euler_numbers(upto: int) -> list[QRat]:
     """e_0 .. e_upto, the divided-power coefficients of the Euler-number
     generator t e_q(t) / (e_q(2t) - 1)."""
-    return list(_euler_number_family().numbers(upto))
+    with _BUILDING:
+        fam = _euler_number_family()
+    return list(fam.numbers(upto))
 
 
 @lru_cache(maxsize=None)
@@ -187,20 +207,30 @@ def _g2_residual(fam: AppellFamily, n: int) -> XPoly:
         *((k, _qp(n - k - 1) * g[k] / (_qf(k) * 2)) for k in range(2, n + 1))])
 
 
-# Printed claim -> (family, residual at degree n).  The e1 coefficient
-# symbol carries no q subscript or argument; "numbers" reads it as e_{j,q}
-# from the Euler-number generator, "values" as the polynomial value
-# E_{j,q}(0).
-_PRINTED_CLAIMS = {
-    "b1": (FamilyKind.BERNOULLI, _b1_residual),
-    "b2": (FamilyKind.BERNOULLI, _b2_residual),
-    "e1[numbers]": (FamilyKind.EULER,
+def _euler_relation_residual(fam: AppellFamily, n: int) -> XPoly:
+    # e_{n,q} - 2^n E_{n,q}(1/2), both exact in q, as a degree-0 residual.
+    return XPoly((euler_numbers(n)[n]
+                  - fam.polynomial(n).evaluate_x(Fraction(1, 2)) * QRat(2 ** n),))
+
+
+# Every printed claim, in report order: claim id -> (verify scope,
+# family, first degree, residual(fam, n)).  The e1 coefficient symbol
+# carries no q subscript or argument; "numbers" reads it as e_{j,q} from
+# the Euler-number generator, "values" as the polynomial value E_{j,q}(0).
+PRINTED_CLAIMS = {
+    "b1": ("b1", FamilyKind.BERNOULLI, 2, _b1_residual),
+    "b2": ("b2", FamilyKind.BERNOULLI, 2, _b2_residual),
+    "e1[numbers]": ("e1", FamilyKind.EULER, 2,
                     lambda fam, n: _e1_residual(fam, n, euler_numbers(n))),
-    "e1[values]": (FamilyKind.EULER,
+    "e1[values]": ("e1", FamilyKind.EULER, 2,
                    lambda fam, n: _e1_residual(fam, n, fam.numbers(n))),
-    "e2": (FamilyKind.EULER, _e2_residual),
-    "g1": (FamilyKind.GENOCCHI, _g1_residual),
-    "g2": (FamilyKind.GENOCCHI, _g2_residual),
+    "e2": ("e2", FamilyKind.EULER, 2, _e2_residual),
+    "g1": ("g1", FamilyKind.GENOCCHI, 2, _g1_residual),
+    "g2": ("g2", FamilyKind.GENOCCHI, 2, _g2_residual),
+    "h0-normalization": ("h0", FamilyKind.HERMITE, 0,
+                         lambda fam, n: printed_series_form(n) - fam.polynomial(n)),
+    "euler-relation": ("euler-relation", FamilyKind.EULER, 0,
+                       _euler_relation_residual),
 }
 
 
@@ -216,35 +246,16 @@ def first_counterexample(claim_id: str, degrees, residual) -> DiscrepancyReport:
     return DiscrepancyReport(claim_id, status, None, None)
 
 
-def verify_printed_theorem(kind: FamilyKind, theorem_id: str, max_n: int,
-                           e1_reading: str = "numbers") -> DiscrepancyReport:
-    """Check one specialized claim term by term as printed, for
-    2 <= n <= max_n, recording the smallest counterexample.
+def verify_printed_theorem(claim: str, max_n: int) -> DiscrepancyReport:
+    """Check one row of ``PRINTED_CLAIMS`` term by term as printed, for
+    its first degree <= n <= max_n, recording the smallest counterexample.
 
     Descriptive only: the returned report never raises on a refuted
-    claim.  With max_n below 2 the claim is inapplicable.
+    claim.  With max_n below the first degree the claim is inapplicable.
     """
-    claim = f"e1[{e1_reading}]" if theorem_id == "e1" else theorem_id
-    if claim not in _PRINTED_CLAIMS:
+    if claim not in PRINTED_CLAIMS:
         raise ValueError(f"unknown printed claim {claim!r}")
-    expected, residual = _PRINTED_CLAIMS[claim]
-    if expected is not FamilyKind(kind):
-        raise ValueError(f"theorem {theorem_id} is about the {expected.value} family")
-    fam = make_family(expected)
-    return first_counterexample(claim, range(2, max_n + 1),
+    _, kind, lo, residual = PRINTED_CLAIMS[claim]
+    fam = make_family(kind)
+    return first_counterexample(claim, range(lo, max_n + 1),
                                 lambda n: residual(fam, n))
-
-
-def verify_euler_number_relation(max_n: int) -> DiscrepancyReport:
-    """Check e_{n,q} = 2^n E_{n,q}(1/2) for n = 0..max_n, as printed.
-
-    Both sides are exact rational functions of q; a refuted status
-    records the difference at the smallest failing n as a degree-0
-    residual.
-    """
-    fam = make_family(FamilyKind.EULER)
-    half = Fraction(1, 2)
-    return first_counterexample(
-        "euler-relation", range(max_n + 1),
-        lambda n: XPoly((euler_numbers(n)[n]
-                         - fam.polynomial(n).evaluate_x(half) * QRat(2 ** n),)))

@@ -8,9 +8,10 @@ relative to the bare sum
 
 which is what makes it agree with the generating-function construction
 and with the small-n table H_2 = x^2 - 1, H_3 = x^3 - [3]_q x,
-H_4 = x^4 - (1+q^2)[3]_q x^2 + [3]_q q^2.  The bare sum itself is kept
-available as a descriptive claim ("h0-normalization") in the discrepancy
-report.
+H_4 = x^4 - (1+q^2)[3]_q x^2 + [3]_q q^2.  The bare sum itself,
+:func:`printed_series_form`, lives in :mod:`qappell.families` beside the
+Hermite numbers, where it is the descriptive claim "h0-normalization" of
+``PRINTED_CLAIMS``.
 
 Every check here reads the one shared Hermite family,
 ``make_family(FamilyKind.HERMITE)``.  Only the generator ratio check
@@ -19,22 +20,10 @@ takes an order, because its order is the range of t-powers it examines.
 
 from __future__ import annotations
 
-from .qarith import QRat, QRAT_ONE, QRAT_ZERO
+from .qarith import QRAT_ONE
 from .appell import (AppellFamily, VerificationReport, XPoly, _qf, _qi, _qp,
                      difference_form, make_report, recurrence_form)
-from .families import (DiscrepancyReport, FamilyKind,
-                       first_counterexample, make_family)
-
-
-def printed_series_form(n: int) -> XPoly:
-    """The bare explicit sum without the [n]_q! factor, exactly as printed."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    coeffs = [QRAT_ZERO] * (n + 1)
-    for k in range(n // 2 + 1):
-        c = _qp(k * (k - 1)) / (QRat.q_double_factorial_even(k) * _qf(n - 2 * k))
-        coeffs[n - 2 * k] = -c if k % 2 else c
-    return XPoly(coeffs)
+from .families import FamilyKind, make_family, printed_series_form
 
 
 def hermite_series_form(n: int) -> XPoly:
@@ -95,11 +84,3 @@ def verify_cross_construction(max_n: int) -> VerificationReport:
     """Generating-function construction vs normalized explicit sum."""
     return _hermite_range("h0-cross", 0, max_n,
                           lambda fam, n: hermite_series_form(n) - fam.polynomial(n))
-
-
-def verify_printed_series_form(max_n: int) -> DiscrepancyReport:
-    """Descriptive claim: the printed explicit sum without the [n]_q!
-    factor against the generating-function polynomials."""
-    fam = make_family(FamilyKind.HERMITE)
-    return first_counterexample("h0-normalization", range(max_n + 1),
-                                lambda n: printed_series_form(n) - fam.polynomial(n))

@@ -6,10 +6,10 @@ for all four families, the lowering chains, the Hermite three-term
 recurrence (h1), difference equation (h2), generator ratio, and the
 cross-construction equality of the two Hermite builds.
 
-Descriptive checks: the specialized theorems exactly as printed (b1, b2,
-e1 in both symbol readings, e2, g1, g2), the explicit-sum normalization
-claim, and the Euler number relation.  Their outcomes are recorded in a
-deterministic discrepancy report.
+Descriptive checks: one per row of ``families.PRINTED_CLAIMS``, the
+claims exactly as printed (b1, b2, e1 in both symbol readings, e2, g1,
+g2, the explicit-sum normalization and the Euler number relation).
+Their outcomes are recorded in a deterministic discrepancy report.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from . import hermite
 from .appell import (DegreeRangeError, VerificationReport,
                      verify_difference_range, verify_lowering_range,
                      verify_recurrence_range)
-from .families import (DiscrepancyReport, FamilyKind, make_family,
-                       verify_euler_number_relation, verify_printed_theorem)
+from .families import (PRINTED_CLAIMS, DiscrepancyReport, FamilyKind,
+                       make_family, verify_printed_theorem)
 from .render import xpoly_to_json
 
 ALL_FAMILIES = tuple(FamilyKind)
@@ -29,15 +29,11 @@ def _families():
     return [make_family(kind) for kind in ALL_FAMILIES]
 
 
-def _printed(kind: FamilyKind, theorem_id: str, *e1_reading: str):
-    return lambda max_n, *_: [
-        verify_printed_theorem(kind, theorem_id, max_n, *e1_reading)]
-
-
 # Every check, in report order: (scope, first degree, run).  A hard
 # check has the smallest degree it examines and gates the exit code; a
-# descriptive check has None.  run(max_n, order) returns its reports;
-# only the generator ratio check reads the order.
+# descriptive check, one per row of PRINTED_CLAIMS, has None.  run(max_n,
+# order) returns its reports; only the generator ratio check reads the
+# order.
 _CHECKS = (
     ("a1", 1, lambda max_n, *_: [
         verify_recurrence_range(fam, 1, max_n) for fam in _families()]),
@@ -50,21 +46,17 @@ _CHECKS = (
     ("h0", 0, lambda max_n, order: [
         hermite.verify_cross_construction(max_n),
         hermite.verify_hermite_generator_ratio(order)]),
-    ("b1", None, _printed(FamilyKind.BERNOULLI, "b1")),
-    ("b2", None, _printed(FamilyKind.BERNOULLI, "b2")),
-    ("e1", None, _printed(FamilyKind.EULER, "e1", "numbers")),
-    ("e1", None, _printed(FamilyKind.EULER, "e1", "values")),
-    ("e2", None, _printed(FamilyKind.EULER, "e2")),
-    ("g1", None, _printed(FamilyKind.GENOCCHI, "g1")),
-    ("g2", None, _printed(FamilyKind.GENOCCHI, "g2")),
-    ("h0", None, lambda max_n, *_: [hermite.verify_printed_series_form(max_n)]),
-    ("euler-relation", None, lambda max_n, *_: [verify_euler_number_relation(max_n)]),
+    *((scope, None, lambda max_n, _, claim=claim: [
+        verify_printed_theorem(claim, max_n)])
+      for claim, (scope, *_) in PRINTED_CLAIMS.items()),
 )
 
 SCOPES = ("all",) + tuple(dict.fromkeys(scope for scope, _, _ in _CHECKS))
 
 
 def _selected(hard: bool, scope: str):
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}")
     return [(check_scope, lo, run) for check_scope, lo, run in _CHECKS
             if (lo is not None) is hard and scope in ("all", check_scope)]
 

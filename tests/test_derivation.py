@@ -78,8 +78,10 @@ _HARD = [
     ("h1", 2, hermite.recurrence_residual),
     ("h2", 1, hermite.difference_residual),
 ]
+# The recurrence- and difference-shaped printed claims, b1 .. g2.
 _PRINTED = [(claim, 1, residual)
-            for claim, (_, residual) in families._PRINTED_CLAIMS.items()]
+            for claim, (_, _, lo, residual) in families.PRINTED_CLAIMS.items()
+            if lo == 2]
 
 
 def _perturbed(kind: FamilyKind, at: int, delta: QRat) -> AppellFamily:
@@ -318,7 +320,7 @@ def test_changed_b1_weight_is_refuted_with_the_direct_residual(monkeypatch):
     fam = families.make_family(kind)
     # a1's records are the references, whichever form is asked first.
     assert verify_recurrence_range(fam, 1, MAX_N).passed
-    assert verify_printed_theorem(kind, "b1", MAX_N).status == "confirmed"
+    assert verify_printed_theorem("b1", MAX_N).status == "confirmed"
 
     def changed(fam, n):
         b = fam.numbers(n)
@@ -327,9 +329,9 @@ def test_changed_b1_weight_is_refuted_with_the_direct_residual(monkeypatch):
             *((k, families._qb(n, k) * _qp(k - 1) * b[n - k] / _qi(n))
               for k in range(n - 1))])
 
-    monkeypatch.setitem(families._PRINTED_CLAIMS, "b1", (kind, changed))
-    report = verify_printed_theorem(kind, "b1", MAX_N)
+    monkeypatch.setitem(families.PRINTED_CLAIMS, "b1", ("b1", kind, 2, changed))
+    report = verify_printed_theorem("b1", MAX_N)
     assert report.status == "refuted" and report.counterexample_n == 2
     with direct_forms():
         assert report.residual == changed(fam, 2)
-        assert verify_printed_theorem(kind, "b1", MAX_N) == report
+        assert verify_printed_theorem("b1", MAX_N) == report

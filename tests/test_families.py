@@ -1,15 +1,18 @@
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from qappell.qarith import (QPoly, QRat, QRAT_Q, QRAT_ZERO,
                             q_double_factorial_even, q_factorial)
+from qappell import families
 from qappell.qseries import Series, eq_exponential
 from qappell.appell import XPoly, _qf, _qi, _qp, difference_form
 from qappell.families import (DiscrepancyReport, FamilyKind, _e1_residual,
                               classical_limit, euler_number_series, euler_numbers,
                               first_counterexample, make_family,
-                              verify_euler_number_relation,
                               verify_printed_theorem)
 from qappell.hermite import hermite_series_form
 
@@ -45,6 +48,41 @@ def test_make_family_is_one_family_per_kind_whatever_the_spelling():
         assert make_family(kind, MAX_ORDER) is shared
         assert make_family(kind.value, MAX_ORDER) is shared
         assert make_family(kind.value, 10) is make_family(kind, 10) is not shared
+
+
+def _first_calls(call, threads=6):
+    # Every thread makes its first call at once, switching often.
+    barrier = threading.Barrier(threads)
+    got = []
+
+    def run():
+        barrier.wait()
+        got.append(call())
+
+    workers = [threading.Thread(target=run) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(got) == threads
+    return got
+
+
+def test_concurrent_first_calls_share_one_family(monkeypatch):
+    for _ in range(20):
+        for name in ("make_family", "_family", "_euler_number_family"):
+            cold = lru_cache(maxsize=None)(getattr(families, name).__wrapped__)
+            monkeypatch.setattr(families, name, cold)
+        shared = _first_calls(lambda: families.make_family(FamilyKind.EULER))
+        assert all(fam is shared[0] for fam in shared)
+        _first_calls(lambda: families.euler_numbers(2))
+        assert families._euler_number_family.cache_info().misses == 1
 
 
 def test_make_family_matches_numeric_generator():
@@ -167,36 +205,29 @@ def test_hermite_family_agrees_with_series_form():
 
 def test_printed_theorem_validation():
     with pytest.raises(ValueError):
-        verify_printed_theorem(FamilyKind.BERNOULLI, "g1", 3)
+        verify_printed_theorem("z9", 3)
     with pytest.raises(ValueError):
-        verify_printed_theorem(FamilyKind.BERNOULLI, "z9", 3)
-    with pytest.raises(ValueError):
-        verify_printed_theorem(FamilyKind.EULER, "e1", 3, e1_reading="bogus")
-    rep = verify_printed_theorem(FamilyKind.BERNOULLI, "b1", 1)
+        verify_printed_theorem("e1[bogus]", 3)
+    rep = verify_printed_theorem("b1", 1)
     assert rep.status == "inapplicable"
 
 
 def test_printed_theorem_is_descriptive_and_deterministic():
     # must complete (and agree across reruns) whatever the statuses are
-    for kind, tid in ((FamilyKind.BERNOULLI, "b1"), (FamilyKind.BERNOULLI, "b2"),
-                      (FamilyKind.EULER, "e2"), (FamilyKind.GENOCCHI, "g1"),
-                      (FamilyKind.GENOCCHI, "g2")):
-        first = verify_printed_theorem(kind, tid, 8)
-        second = verify_printed_theorem(kind, tid, 8)
+    for tid in ("b1", "b2", "e2", "g1", "g2"):
+        first = verify_printed_theorem(tid, 8)
+        second = verify_printed_theorem(tid, 8)
         assert first == second
         assert first.status in ("confirmed", "refuted")
     for reading in ("numbers", "values"):
-        rep = verify_printed_theorem(FamilyKind.EULER, "e1", 8,
-                                     e1_reading=reading)
+        rep = verify_printed_theorem(f"e1[{reading}]", 8)
         assert rep.claim_id == f"e1[{reading}]"
         assert rep.status in ("confirmed", "refuted")
 
 
 def test_printed_theorem_refutations_record_counterexamples():
-    for kind, tid, kwargs in ((FamilyKind.EULER, "e1", {"e1_reading": "numbers"}),
-                              (FamilyKind.EULER, "e1", {"e1_reading": "values"}),
-                              (FamilyKind.EULER, "e2", {})):
-        rep = verify_printed_theorem(kind, tid, 8, **kwargs)
+    for tid in ("e1[numbers]", "e1[values]", "e2"):
+        rep = verify_printed_theorem(tid, 8)
         if rep.status == "refuted":
             assert rep.counterexample_n is not None
             assert rep.residual is not None and not rep.residual.is_zero()
@@ -217,10 +248,10 @@ def test_first_counterexample_stops_at_the_first_nonzero_residual():
 
 
 def test_euler_number_relation_report():
-    rep = verify_euler_number_relation(8)
+    rep = verify_printed_theorem("euler-relation", 8)
     assert isinstance(rep, DiscrepancyReport)
     assert rep.claim_id == "euler-relation"
-    assert rep == verify_euler_number_relation(8)
+    assert rep == verify_printed_theorem("euler-relation", 8)
     # the two sides at n = 0 are 1/2 and 1, so the claim cannot be confirmed
     assert euler_numbers(0)[0] == QRat(Fraction(1, 2))
     eul = make_family(FamilyKind.EULER, 8)

@@ -4,13 +4,12 @@ import pytest
 
 from qappell.qarith import QPoly, QRat, QRAT_Q, q_integer
 from qappell.appell import XPoly
-from qappell.families import FamilyKind, make_family
+from qappell.families import FamilyKind, make_family, verify_printed_theorem
 from qappell.hermite import (hermite_series_form, printed_series_form,
                              recurrence_residual, verify_cross_construction,
                              verify_hermite_difference_range,
                              verify_hermite_generator_ratio,
-                             verify_hermite_recurrence_range,
-                             verify_printed_series_form)
+                             verify_hermite_recurrence_range)
 
 import oracles
 
@@ -37,7 +36,7 @@ def test_printed_form_misses_normalization():
     for n in range(8):
         scaled = printed_series_form(n).scale(QRat(oracle_fact(n)))
         assert scaled == hermite_series_form(n)
-    rep = verify_printed_series_form(8)
+    rep = verify_printed_theorem("h0-normalization", 8)
     assert rep.status == "refuted" and rep.counterexample_n == 2
 
 

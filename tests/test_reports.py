@@ -1,8 +1,11 @@
 import json
 import pathlib
 
+import pytest
+
 import helpers
 from qappell import render, reports
+from qappell.families import PRINTED_CLAIMS, verify_printed_theorem
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "discrepancy_report.json"
 
@@ -60,3 +63,31 @@ def test_report_payload_is_json_serializable():
     payload = reports.run_scope("all", 4, 6)
     parsed = json.loads(render.dumps(payload))
     assert parsed["scope"] == "all"
+
+
+# The descriptive rows are the rows of one table.
+
+def test_descriptive_reports_are_the_printed_claims_table():
+    assert reports.descriptive_reports("all", 10) == [
+        verify_printed_theorem(claim, 10) for claim in PRINTED_CLAIMS]
+
+
+def test_each_scope_runs_exactly_the_claims_that_name_it():
+    for scope in reports.SCOPES[1:]:
+        claims = [r.claim_id for r in reports.descriptive_reports(scope, 10)]
+        assert claims == [claim for claim, (claim_scope, *_) in PRINTED_CLAIMS.items()
+                          if claim_scope == scope], scope
+
+
+def test_an_old_style_claim_id_raises():
+    for claim in ("e1", "h0", "g1[numbers]"):
+        with pytest.raises(ValueError, match="unknown printed claim"):
+            verify_printed_theorem(claim, 10)
+
+
+def test_an_unknown_scope_raises_instead_of_passing():
+    for run in (lambda: reports.run_scope("b3", 6, 8),
+                lambda: reports.hard_reports("b3", 6, 8),
+                lambda: reports.descriptive_reports("b3", 6)):
+        with pytest.raises(ValueError, match="unknown scope"):
+            run()
